@@ -30,9 +30,12 @@ instrumentation:
 Everything is zero-cost when disabled: instrumentation hooks in the
 simulator's hot paths are sentinel-checked (``if self._obs is not
 None``) and the fast cycle loop stays bit-identical with observability
-off.  With observability *on*, the engine runs the reference per-cycle
-loop so stall attribution is exact — the simulated results are still
-bit-identical (the perf suite proves fast == reference on every run).
+off.  With observability *on*, the engine keeps the loop and memory
+path it would have run anyway: the fast loop charges the cycles it
+skips to the stall taxonomy when each skip ends, so stall tables,
+phase records and the adaptation log equal the reference loop's
+exactly, and the simulated results stay bit-identical
+(``docs/PERF.md`` §8).
 """
 
 from repro.obs.collector import Observability, ObsOptions, ObsReport

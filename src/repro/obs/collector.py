@@ -62,9 +62,11 @@ class Observability:
         self.options = options or ObsOptions()
         self.registry = CounterRegistry()
         self.stalls = StallTable()
-        #: current simulation cycle, maintained by the engine's sampled
-        #: reference loop; timestamps the adaptation event log.
-        self.cycle = 0
+        #: the observed GPU's SMs (set by :meth:`attach`): adaptation
+        #: events fire inside their SM's tick, so that SM's
+        #: ``_last_tick`` is the current cycle on either loop and
+        #: timestamps the adaptation event log at no per-cycle cost.
+        self._sms: List = []
         self.sampler: Optional[PhaseSampler] = None
         if self.options.phase:
             self.sampler = PhaseSampler(self.options.phase_interval)
@@ -81,6 +83,7 @@ class Observability:
         """Hook the mechanisms the engine cannot reach at construction
         time: DMIL's MILGs and QBMI's quota machinery (duck-typed so
         this module never imports the scheme classes)."""
+        self._sms = gpu.sms
         for sm in gpu.sms:
             bundle = sm.bundle
             limiter = bundle.limiter
@@ -177,7 +180,8 @@ class Observability:
         scope.gauge("limit").set(-1 if limit is None else limit)
         sampler = self.sampler
         if sampler is not None:
-            sampler.log_adapt(ADAPT_MIL, self.cycle, sm_id, kernel,
+            sampler.log_adapt(ADAPT_MIL, self._sms[sm_id]._last_tick,
+                              sm_id, kernel,
                               old_limit, limit, rsfails=window_rsfails)
         trace = self.trace
         if trace is not None:
@@ -196,8 +200,9 @@ class Observability:
         self.registry.counter(f"sm{sm_id}.bmi.replenishes").add()
         sampler = self.sampler
         if sampler is not None:
+            cycle = self._sms[sm_id]._last_tick
             for kernel, new in enumerate(quotas):
-                sampler.log_adapt(ADAPT_QBMI, self.cycle, sm_id, kernel,
+                sampler.log_adapt(ADAPT_QBMI, cycle, sm_id, kernel,
                                   old_quotas[kernel], new,
                                   req_per_minst=estimates[kernel])
         trace = self.trace

@@ -26,10 +26,12 @@ window rsfail count, Req/Minst)``.
 The sampler is *pull-based*: it consumes the hook-fed stall tables and
 the simulator's pull statistics at interval boundaries, never feeding
 anything back into the simulation, so sampler-on runs are bit-identical
-to sampler-off runs (asserted in ``tests/test_timeline.py``).  Records
-built by :meth:`PhaseSampler.snapshot` are plain JSON-safe dicts that
-pickle across ``run_jobs`` workers and merge by list concatenation on
-:class:`~repro.obs.collector.ObsReport` (trivially associative).
+to sampler-off runs (asserted in ``tests/test_timeline.py``), on the
+fast loop as on the reference loop (``tests/test_obs_fastpath.py``).
+Records built by :meth:`PhaseSampler.snapshot` are plain JSON-safe
+dicts that pickle across ``run_jobs`` workers and merge by list
+concatenation on :class:`~repro.obs.collector.ObsReport` (trivially
+associative).
 """
 
 from __future__ import annotations
@@ -105,9 +107,11 @@ def adapt_events_from_record(record: Dict[str, object]) -> List[AdaptEvent]:
 class PhaseSampler:
     """Windowed phase sampler for one observed run.
 
-    Driven by the engine's reference cycle loop (one ``on_cycle`` call
-    per simulated cycle); all reads are pull-based, so the sampler can
-    never perturb simulation state.  ``snapshot`` is non-destructive —
+    Driven by the engine at span ends: either loop splits the run into
+    spans that end at interval boundaries, settles every deferred debt
+    there, and calls ``on_cycle`` with the span's last cycle.  All
+    reads are pull-based, so the sampler can never perturb simulation
+    state.  ``snapshot`` is non-destructive —
     a partial tail interval is measured into the returned record
     without committing baselines, so mid-run reports stay exact and a
     later final report re-measures the (longer) tail correctly.
@@ -153,8 +157,9 @@ class PhaseSampler:
     # ------------------------------------------------------------------
     # sampling
     def on_cycle(self, cycle: int, gpu) -> None:
-        """End-of-cycle hook from the engine's reference loop; commits
-        one sample whenever an interval boundary completes."""
+        """End-of-span hook from the engine (``cycle`` is the span's
+        last cycle, its state settled); commits one sample whenever an
+        interval boundary completes."""
         upto = cycle + 1
         if upto % self.interval == 0:
             self._append(self._measure(upto, gpu, commit=True))

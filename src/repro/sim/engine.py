@@ -106,9 +106,12 @@ class GPU:
 
     ``obs`` enables the observability layer (``True``, an
     :class:`~repro.obs.ObsOptions`, or a prepared
-    :class:`~repro.obs.Observability`).  Observed runs use the
-    reference per-cycle loop so stall attribution is exact — simulated
-    results stay bit-identical to an unobserved run.
+    :class:`~repro.obs.Observability`).  Observing never changes which
+    loop or memory path runs: the fast loop charges the cycles it
+    skips to the stall taxonomy when each skip ends, so its stall
+    tables, phase records and adaptation log equal the reference
+    loop's exactly, and simulated results stay bit-identical to an
+    unobserved run (docs/PERF.md §8).
 
     ``pooled`` selects the struct-of-arrays memory path (slot-pooled
     requests, array-backed L1D/MSHR tag stores, ring DRAM queues).
@@ -127,11 +130,6 @@ class GPU:
         if not launches:
             raise ValueError("need at least one kernel launch")
         self.obs = resolve_obs(obs)
-        if self.obs is not None:
-            # Per-cycle stall attribution requires every cycle to be
-            # ticked: the fast loop's sleep hints skip exactly the
-            # cycles whose non-issue the taxonomy must classify.
-            reference = True
         if reference is None:
             reference = os.environ.get("REPRO_REFERENCE_LOOP", "") == "1"
         self.reference = reference
@@ -151,8 +149,12 @@ class GPU:
         #: the event heap and the DRAM channels.
         self.wheel = EventWheel()
         mem_cls = PooledMemorySubsystem if pooled else MemorySubsystem
+        # The backend's hooks only trace request lifetimes: it carries
+        # the collector only when a Chrome trace records them.
+        tracing = self.obs is not None and self.obs.trace is not None
         self.memory = mem_cls(config, fastpath=not reference,
-                              obs=self.obs, wheel=self.wheel)
+                              obs=self.obs if tracing else None,
+                              wheel=self.wheel)
         self.timeline = (TimelineRecorder(timeline_interval)
                          if timeline_interval else None)
         self.kernel_stats: Dict[int, KernelStats] = {
@@ -192,84 +194,97 @@ class GPU:
                 for slot, stats in self.kernel_stats.items()}
 
     def run(self, max_cycles: int) -> RunResult:
-        """Simulate ``max_cycles`` core cycles and collect results."""
+        """Simulate ``max_cycles`` core cycles and collect results.
+
+        With a phase sampler the window is split into spans that end at
+        the sampler's interval boundaries; each span end settles every
+        deferred debt (:meth:`_settle`) before the sample is taken.
+        Both loops resume exactly, so the split run equals the unsplit
+        one."""
         if max_cycles < 1:
             raise ValueError("max_cycles must be positive")
+        run_span = self._run_reference if self.reference else self._run_fast
+        cycle = self.cycles_run
+        end = cycle + max_cycles
+        sampler = self.obs.sampler if self.obs is not None else None
+        if sampler is None:
+            run_span(cycle, end)
+        else:
+            interval = sampler.interval
+            while cycle < end:
+                stop = min(end, (cycle // interval + 1) * interval)
+                run_span(cycle, stop)
+                cycle = stop
+                self.cycles_run = stop
+                self._settle()
+                sampler.on_cycle(stop - 1, self)
+        self.cycles_run = end
+        return self._collect()
+
+    def _run_reference(self, start: int, end: int) -> None:
+        """Cycles ``[start, end)`` on the reference per-cycle loop."""
+        memory_tick = self.memory.tick
+        sm_ticks = [sm.tick for sm in self.sms]
+        for cycle in range(start, end):
+            memory_tick(cycle)
+            for sm_tick in sm_ticks:
+                sm_tick(cycle)
+
+    def _run_fast(self, cycle: int, end: int) -> None:
+        """Cycles ``[cycle, end)`` on the fast loop.
+
+        Latency-shadow leap: when every SM sleeps past the current
+        cycle and the backend queues are drained, nothing can happen
+        until the earliest posted wheel event — jump there directly.
+        SM sleeps, scheduler wakes, scheduled memory events and DRAM
+        service completions all post their cycles into the wheel, so
+        the leap target is one amortised-O(1) query instead of a scan
+        over every component.  The backend accounts for the leapt
+        cycles in one batch (skip_cycles, a provable no-op replay);
+        each SM's tick catches up its rotation state from the cycle
+        gap.  The sleep scan early-exits on the first awake SM, so
+        saturated phases pay almost nothing for the check.  Stale
+        wheel entries (events that resolved early) at worst stop the
+        leap at one inert cycle.  The check runs before each cycle
+        rather than after the previous one, so a span that starts
+        mid-leap (a resumed run, a phase boundary) continues the leap
+        instead of ticking its first cycle."""
         # Bind the per-cycle callees to locals: the loop body is pure
         # dispatch, so attribute lookups would be a measurable share.
         memory_tick = self.memory.tick
         sm_ticks = [sm.tick for sm in self.sms]
-        start = self.cycles_run
-        end = start + max_cycles
-        if self.reference:
-            obs = self.obs
-            if obs is not None and obs.sampler is not None:
-                # Sampled reference loop: identical simulation order,
-                # plus an end-of-cycle pull-based sample hook and the
-                # current-cycle gauge that timestamps the adaptation
-                # event log.  Nothing feeds back into the components,
-                # so results stay bit-identical to the plain loops.
-                sampler_tick = obs.sampler.on_cycle
-                for cycle in range(start, end):
-                    obs.cycle = cycle
-                    memory_tick(cycle)
-                    for sm_tick in sm_ticks:
-                        sm_tick(cycle)
-                    sampler_tick(cycle, self)
-                self.cycles_run = end
-                return self._collect()
-            for cycle in range(start, end):
-                memory_tick(cycle)
-                for sm_tick in sm_ticks:
-                    sm_tick(cycle)
-            self.cycles_run = end
-            return self._collect()
-        # Fast loop with a latency-shadow leap: when every SM is asleep
-        # past cycle+1 and the backend queues are drained, nothing can
-        # happen until the earliest posted wheel event — jump there
-        # directly.  SM sleeps, scheduler wakes, scheduled memory
-        # events and DRAM service completions all post their cycles
-        # into the wheel, so the leap target is one amortised-O(1)
-        # query instead of a scan over every component.  The backend
-        # accounts for the leapt cycles in one batch (skip_cycles, a
-        # provable no-op replay); each SM's tick catches up its
-        # rotation state from the cycle gap.  The sleep scan
-        # early-exits on the first awake SM, so saturated phases pay
-        # almost nothing for the check.  Stale wheel entries (events
-        # that resolved early) at worst wake the engine for one inert
-        # tick — exactly what the reference loop would have executed.
         sms = self.sms
         leapable = self.memory.leapable
         skip_cycles = self.memory.skip_cycles
         wheel_next = self.wheel.next_after
-        cycle = start
         while cycle < end:
-            memory_tick(cycle)
-            for sm_tick in sm_ticks:
-                sm_tick(cycle)
-            nxt = cycle + 1
             for sm in sms:
-                if sm._sleep_until <= nxt:
+                if sm._sleep_until <= cycle:
                     break
             else:
                 if leapable():
-                    target = wheel_next(cycle)
+                    target = wheel_next(cycle - 1)
                     if target > end:
                         target = end
-                    if target > nxt:
-                        skip_cycles(target - nxt)
-                        nxt = target
-            cycle = nxt
-        self.cycles_run = end
-        return self._collect()
+                    if target > cycle:
+                        skip_cycles(target - cycle)
+                        cycle = target
+                        continue
+            memory_tick(cycle)
+            for sm_tick in sm_ticks:
+                sm_tick(cycle)
+            cycle += 1
+
+    def _settle(self) -> None:
+        """Settle every SM's deferred debts up to ``cycles_run`` (see
+        StreamingMultiprocessor.settle), so stats and stall-table reads
+        see exactly the reference loop's state."""
+        end = self.cycles_run
+        for sm in self.sms:
+            sm.settle(end)
 
     def _collect(self) -> RunResult:
-        for sm in self.sms:
-            # Settle any batched LSU stall accounting and burst-sleep
-            # issue accounting before the stats reads below (see
-            # LoadStoreUnit._flush_stall_debt and SM._settle_sleep_debt).
-            sm.lsu._flush_stall_debt()
-            sm._settle_sleep_debt(self.cycles_run)
+        self._settle()
         cfg = self.config
         cycles = self.cycles_run
         slots = [launch.slot for launch in self.launches]

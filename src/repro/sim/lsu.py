@@ -63,9 +63,9 @@ class LoadStoreUnit:
         #: replayed-stall cycles whose stats bumps are deferred (memo
         #: valid + every per-stall hook inert): the whole stretch is
         #: paid in one batch when the stall breaks (``_flush_stall_debt``)
-        #: or at result collection.  Observable state is identical to
-        #: per-cycle replay because nothing reads the counters while
-        #: the debt is outstanding.
+        #: or at a span end / result collection.  Observable state is
+        #: identical to per-cycle replay because nothing reads the
+        #: counters while the debt is outstanding.
         self._stall_owed = 0
         self.stall_cycles = 0
         self.busy_cycles = 0
@@ -82,7 +82,7 @@ class LoadStoreUnit:
         #: pooled-path per-run constants resolved by the owning SM:
         #: the kernel-stats dict when the per-request SM hook reduces
         #: to one stats bump (else None), and whether stall replays may
-        #: defer their stats (no obs, inert hooks).
+        #: defer their stats (inert hooks).
         self._inline_stats = None
         self._defer_ok = False
 
@@ -91,10 +91,13 @@ class LoadStoreUnit:
 
     def _flush_stall_debt(self) -> None:
         """Settle deferred stall replays: pay the owed stats bumps and
-        stall cycles for the memoised verdict in one batch.  Must run
-        before anything reads ``stall_cycles`` or the L1 stats (the
-        engine's result collection does) and whenever the memo's
-        premise breaks."""
+        stall cycles for the memoised verdict in one batch — and, on an
+        observed run, the same count of LSU stall-taxonomy entries
+        under the memo's ``(kernel, result)``, which is what each
+        replayed cycle's ``lsu_rsfail`` would have recorded.  Must run
+        before anything reads ``stall_cycles``, the L1 stats or the
+        stall table (the engine's span ends and result collection do)
+        and whenever the memo's premise breaks."""
         owed = self._stall_owed
         if not owed:
             return
@@ -106,6 +109,9 @@ class LoadStoreUnit:
         stats.rsfails[kernel] += owed
         stats.rsfail_reasons[result] += owed
         self.stall_cycles += owed
+        obs = self._obs
+        if obs is not None:
+            obs.stalls.bump_lsu(self.sm_id, kernel, result, owed)
 
     def enqueue(self, inst: MemInst) -> None:
         if not self.can_accept():
@@ -161,7 +167,7 @@ class LoadStoreUnit:
                     bypass,
                 )
                 self._current_request = request
-                if obs is not None:
+                if obs is not None and obs.trace is not None:
                     obs.mem_request_created(request, cycle)
 
             memo = self._stall_memo
@@ -171,10 +177,11 @@ class LoadStoreUnit:
                     # Nothing a failing lookup depends on changed since
                     # the last replay: replay the verdict and its stats
                     # bumps without walking the cache.  When every
-                    # per-stall hook is inert (baseline schemes, no
-                    # observability) even the bumps are deferred — the
-                    # owed count is settled when the stall breaks.
-                    if obs is None and sm._mem_hooks_inert:
+                    # per-stall hook is inert (baseline schemes) even
+                    # the bumps are deferred — the owed count, stall
+                    # taxonomy entries included, is settled when the
+                    # stall breaks.
+                    if sm._mem_hooks_inert:
                         self._stall_owed += 1
                         return
                     result = memo[3]
@@ -215,7 +222,7 @@ class LoadStoreUnit:
                 kernel_stats[request.kernel].mem_requests += 1
             else:
                 on_request_issued(request, result, cycle)
-            if obs is not None:
+            if obs is not None and obs.trace is not None:
                 obs.mem_request_l1(request, result, cycle)
             if next_idx >= len(inst.lines):
                 queue.popleft()
@@ -277,7 +284,7 @@ class LoadStoreUnit:
                                   None if is_store else inst, cycle, bypass)
                 current = (slot, line, kernel, is_store, bypass)
                 self._current_request = current
-                if obs is not None:
+                if obs is not None and obs.trace is not None:
                     obs.mem_request_created(pool.view(slot), cycle)
             else:
                 slot, line, kernel, is_store, bypass = current
@@ -327,7 +334,7 @@ class LoadStoreUnit:
             else:
                 sm.on_request_issued_values(kernel, line, is_store, result,
                                             cycle)
-            if obs is not None:
+            if obs is not None and obs.trace is not None:
                 obs.mem_request_l1(pool.view(slot), result, cycle)
             if result is hit:
                 # A hit's lifetime ends here: the slot never travels.

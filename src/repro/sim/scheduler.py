@@ -123,8 +123,12 @@ class WarpScheduler:
         #: ready_at of a latency-blocked warp, whose head may be
         #: compute) or an invalidating event: an issue (note_issued),
         #: a load return (wake_at), or a membership change.  The SM
-        #: skips select() outright while the memo holds.
-        self._mem_stalled = False
+        #: skips select() outright while the memo holds.  The value is
+        #: 0 when no memo holds, else one past the cycle that set it —
+        #: an id per memo episode, which stall attribution keys its
+        #: cached verdict on (the first ready warp is fixed for an
+        #: episode under GTO).
+        self._mem_stalled = 0
         self._mem_wake = 0
 
     # ------------------------------------------------------------------
@@ -139,7 +143,7 @@ class WarpScheduler:
         warp.sched = self
         self._gto_dirty = True
         self._next_wake = 0
-        self._mem_stalled = False
+        self._mem_stalled = 0
         sm = self.sm
         if sm is not None:
             sm._sleep_until = 0
@@ -150,7 +154,7 @@ class WarpScheduler:
         if warp in scan:
             scan.remove(warp)
         warp.sched = None
-        self._mem_stalled = False
+        self._mem_stalled = 0
         if self._greedy is warp:
             self._greedy = None
         if self._auto_warp is warp:
@@ -205,7 +209,7 @@ class WarpScheduler:
         Any issue invalidates the memory-stall memo: the issued
         instruction changes its warp's head op, so a later LSU-full
         scan must re-derive the all-heads-are-memory verdict."""
-        self._mem_stalled = False
+        self._mem_stalled = 0
         if self._greedy is not warp:
             self._greedy = warp
             self._gto_dirty = True
@@ -217,7 +221,7 @@ class WarpScheduler:
         the engine's event wheel so the cycle leap sees it."""
         # A load return can un-block an MLP-capped warp (or retire a
         # drained one): the memory-stall memo's premise is gone.
-        self._mem_stalled = False
+        self._mem_stalled = 0
         if cycle < self._next_wake:
             self._next_wake = cycle
         sm = self.sm
@@ -382,7 +386,7 @@ class WarpScheduler:
                 # the LSU stays full — until a latency-blocked warp
                 # (possibly compute-headed) becomes ready at ``wake``,
                 # or an invalidating event clears the memo.
-                self._mem_stalled = True
+                self._mem_stalled = cycle + 1
                 self._mem_wake = wake
             return None
         sel = self._sel
@@ -435,6 +439,34 @@ class WarpScheduler:
         if blocked is None:
             return None, None, "empty"
         return blocked, blocked_op, "blocked"
+
+    def first_with_work(self, rotation: Optional[int] = None
+                        ) -> Optional[Warp]:
+        """The highest-priority warp with work left, readiness aside:
+        :meth:`first_ready`'s ``"blocked"`` warp for a scheduler known
+        to have no latency-ready warp (asleep on its wake hint), found
+        without scanning past it.  None when no warp has work.
+        ``rotation`` overrides LRR's start position (default: the one
+        this cycle's ``select`` used) — the SM's catch-up of slept
+        cycles classifies each one under its own rotation."""
+        warps = self.warps
+        n = len(warps)
+        if not n:
+            return None
+        if self._is_lrr:
+            start = (self._lrr_pos - 1 if rotation is None else rotation) % n
+            for i in range(n):
+                warp = warps[(start + i) % n]
+                if warp.stream.next_op is not None:
+                    return warp
+            return None
+        greedy = self._greedy
+        if greedy is not None and greedy.stream.next_op is not None:
+            return greedy
+        for warp in warps:
+            if warp.stream.next_op is not None:
+                return warp
+        return None
 
     def _select_reference(self, cycle: int,
                           mem_ok: Callable[[Warp, str], bool],

@@ -43,6 +43,9 @@ from repro.sim.stats import KernelStats, TimelineRecorder
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.kernel import OP_ALU, OP_SFU, OP_STORE
 
+#: ``_obs_bursts`` entry of a scheduler with no armed burst.
+_NO_BURST = (KERNEL_NONE, -1)
+
 
 class SMKernelState:
     """Per-SM runtime state for one resident kernel."""
@@ -82,6 +85,24 @@ class StreamingMultiprocessor:
         #: BMI arbitration without a compute fallback.
         self._obs_issued: Dict[int, int] = {}
         self._obs_lost: Dict[int, int] = {}
+        nsched = config.schedulers_per_sm
+        #: per scheduler, ``(kernel, last cycle)`` of its armed issue
+        #: autopilot burst: burst steps bypass _issue_compute, so stall
+        #: attribution reads their issue slots from this ledger.
+        self._obs_bursts = [_NO_BURST] * nsched
+        #: per scheduler, ``(memo episode, kernel of its first ready
+        #: warp)``: a GTO scheduler held by the memory-stall memo
+        #: charges ``lsu_full`` to that kernel for the whole episode.
+        self._obs_memos = [(0, KERNEL_NONE)] * nsched
+        #: per scheduler, the current run of identical issue-slot
+        #: outcomes ``[kernel, reason, cycles]`` not yet paid into the
+        #: stall table (see _obs_account).
+        self._obs_runs = [[KERNEL_NONE, None, 0] for _ in range(nsched)]
+        #: ``(scheduler, memo episode, run)`` for every scheduler when
+        #: all of them were memo-held last cycle (else None): the
+        #: steady memory-pipeline stall, whose cycles just extend the
+        #: runs while every episode holds.
+        self._obs_steady = None
 
         self.lsu = LoadStoreUnit(sm_id, l1, width=config.lsu_width)
         self.lsu._obs = obs
@@ -171,14 +192,13 @@ class StreamingMultiprocessor:
         self.lsu._inline_stats = (
             kernel_stats
             if self._mem_hooks_inert and timeline is None else None)
-        self.lsu._defer_ok = obs is None and self._mem_hooks_inert
+        self.lsu._defer_ok = self._mem_hooks_inert
         #: the baseline policy's pick is pure "first proposer wins":
         #: skip the candidate-list build and the dispatch entirely.
         self._pick_trivial = pol_cls.pick is UnmanagedIssue.pick
         self._ok_all = {launch.slot: True for launch in launches}
         self._ok_none = {launch.slot: False for launch in launches}
         # Scheduler issue orders for each round-robin start, prebuilt.
-        nsched = len(self.schedulers)
         self._sched_orders = [
             tuple(self.schedulers[(s + o) % nsched] for o in range(nsched))
             for s in range(nsched)
@@ -211,15 +231,17 @@ class StreamingMultiprocessor:
         #: issue autopilot eligibility (see WarpScheduler._auto_warp):
         #: after a compute issue the greedy warp's run of consecutive
         #: ALU ops is issued one per cycle without re-running select().
-        #: Bursts bypass _issue_compute's gate/timeline/obs hooks, so
+        #: Bursts bypass _issue_compute's gate/timeline/trace hooks, so
         #: autopilot only arms when all of those are provably inert,
         #: and only under GTO (the burst relies on the greedy warp
-        #: holding priority[0] between issues).
+        #: holding priority[0] between issues).  Stall attribution
+        #: charges burst slots from ``_obs_bursts``; a Chrome trace
+        #: needs one slice per issue, so it keeps bursts disarmed.
         self._auto_ok = (fastpath
                          and config.scheduler_policy == "gto"
                          and bundle.smk_gate is None
                          and timeline is None
-                         and obs is None)
+                         and (obs is None or obs.trace is None))
         # Scheme window boundaries (DMIL limit recompute, QBMI quota
         # replenish, Req/Minst refresh) change issue eligibility with
         # no scheduler wake attached: register them as conservative
@@ -362,40 +384,7 @@ class StreamingMultiprocessor:
         last = self._last_tick
         self._last_tick = cycle
         if self._fastpath and cycle - last > 1:
-            # The scheduler round-robin start advances once per cycle
-            # in the reference loop, including cycles a sleeping SM
-            # skipped: catch the rotation phase up so arbitration
-            # order stays bit-identical.  Under LRR each scheduler's
-            # rotation position advances once per select() call while
-            # it owns warps — including the sleep-hint early-outs the
-            # skipped cycles would have taken — so it owes the same
-            # catch-up.
-            gap = cycle - last - 1
-            self._sched_rr = (self._sched_rr + gap) % len(self.schedulers)
-            if self._lrr:
-                for sched in self.schedulers:
-                    if sched.warps:
-                        sched._lrr_pos += gap
-            else:
-                # Burst sleep catch-up: each slept cycle issued exactly
-                # one ALU per mid-burst scheduler (the sleep horizon was
-                # capped at every burst's remaining length, and any
-                # event that could break a burst early lowers
-                # _sleep_until to its own cycle — see
-                # _on_meminst_complete — so the premise held for the
-                # whole gap).  Pay the deferred per-issue bookkeeping in
-                # one batch; the warp's stale ready_at is harmless (the
-                # burst step below and note_load_done compare it
-                # against ``cycle`` the same way a per-cycle value
-                # would).
-                for sched in self.schedulers:
-                    left = sched._auto_left
-                    if left:
-                        stats = sched._auto_stats
-                        stats.warp_insts += gap
-                        stats.alu_insts += gap
-                        self.alu_busy += gap
-                        sched._auto_left = left - gap
+            self._catch_up(last + 1, cycle - last - 1)
         fastpath = self._fastpath
         if self._ucp is not None:
             self._ucp.tick(cycle)
@@ -505,6 +494,8 @@ class StreamingMultiprocessor:
                 sched._auto_warp = None
                 warp.stream.rewind_alu(sched._auto_left)
                 sched._auto_left = 0
+                if self._obs is not None:
+                    self._obs_bursts[sched.sched_id] = _NO_BURST
             if fastpath:
                 if cycle < sched._next_wake:
                     # select()'s latency-sleep early-out, inlined to
@@ -644,6 +635,9 @@ class StreamingMultiprocessor:
         if self._obs is not None:
             self._obs_issued[sched.sched_id] = k
             self._obs.issue_event(self.sm_id, sched.sched_id, k, op, cycle)
+            if armed:
+                self._obs_bursts[sched.sched_id] = (
+                    k, cycle + sched._auto_left)
         # An armed burst defers the drain check to its last pop (the
         # pre-advanced ``next_op`` may already read as drained).
         if not armed and stream.next_op is None:
@@ -707,57 +701,175 @@ class StreamingMultiprocessor:
     def _obs_account(self, obs, cycle: int) -> None:
         """Classify every scheduler's issue-slot outcome this cycle.
 
-        An issuing scheduler counts as ``issued``; a non-issuing one is
-        attributed to the reason its highest-priority latency-ready
-        warp (the warp the hardware would have issued) could not go —
-        see :mod:`repro.obs.stalls` for the taxonomy.  Residual
-        same-cycle races (e.g. a gate quota consumed between selection
-        and attribution) land in ``other``.
+        An issuing scheduler counts as ``issued`` — a step of an issue
+        autopilot burst too, read from ``_obs_bursts`` since bursts
+        bypass :meth:`_issue_compute`; a non-issuing one is attributed
+        to the reason its highest-priority latency-ready warp (the warp
+        the hardware would have issued) could not go — see
+        :mod:`repro.obs.stalls` for the taxonomy.  Residual same-cycle
+        races (e.g. a gate quota consumed between selection and
+        attribution) land in ``other``.
+
+        The fast loop skips ``select()`` only when it would provably
+        return None, and each skip kind fixes the verdict
+        :meth:`~repro.sim.scheduler.WarpScheduler.first_ready` would
+        reach, so those slots skip the scan: a scheduler asleep on its
+        wake hint has no latency-ready warp (``scoreboard`` against its
+        first warp with work, or ``no_warp``); one held by the
+        memory-stall memo has only memory-headed ready warps and a full
+        LSU (``lsu_full`` against the memo episode's first ready warp,
+        fixed for the episode under GTO).  Schedulers that really ran
+        ``select()`` and got None go through ``first_ready``.
+
+        Outcomes are run-length batched per scheduler in ``_obs_runs``
+        and paid into the stall table when the outcome changes or a
+        span ends (:meth:`settle`).
 
         ``obs`` is the already-guarded sentinel: the caller only
         reaches here under ``if self._obs is not None``.
         """
-        table = obs.stalls
-        sm_id = self.sm_id
         issued = self._obs_issued
         lost = self._obs_lost
+        lsu_full = not self._lsu_free
+        steady = self._obs_steady
+        if steady is not None and lsu_full and not issued and not lost:
+            # Every scheduler was memo-held last cycle: with the LSU
+            # still full (a free LSU runs select(), where a MIL cap may
+            # deny the slot instead) and each episode unchanged, each
+            # outcome repeats.
+            for sched, episode, _run in steady:
+                if (sched._mem_stalled != episode
+                        or cycle >= sched._mem_wake):
+                    break
+            else:
+                for _sched, _episode, run in steady:
+                    run[2] += 1
+                return
+        bursts = self._obs_bursts
+        memos = self._obs_memos
+        held = []
         for sched in self.schedulers:
             sid = sched.sched_id
-            k = issued.get(sid)
+            k = issued.get(sid) if issued else None
             if k is not None:
-                table.bump_sched(sm_id, sid, k, ISSUED)
-                continue
-            k = lost.get(sid)
-            if k is not None:
-                table.bump_sched(sm_id, sid, k, STALL_BMI_LOSS)
-                continue
-            warp, op, status = sched.first_ready(cycle)
-            if status == "empty":
-                table.bump_sched(sm_id, sid, KERNEL_NONE, STALL_NO_WARP)
-                continue
-            k = warp.kernel_slot
-            if status == "blocked":
-                table.bump_sched(sm_id, sid, k, STALL_SCOREBOARD)
-                continue
-            # A latency-ready warp had work but nothing issued: pin the
-            # denial on the gate, the port, or the memory pipeline.
-            gate = self._gate
-            if gate is not None and not gate.can_issue(k):
-                reason = STALL_SMK_GATE
-            elif op == OP_SFU or op == OP_ALU:
-                reason = (STALL_EXEC_PORT
-                          if op == OP_SFU and self._sfu_used
-                          else STALL_OTHER)
-            elif not self._lsu_free:
+                reason = ISSUED
+            elif lost and sid in lost:
+                k = lost[sid]
+                reason = STALL_BMI_LOSS
+            elif cycle <= bursts[sid][1]:
+                k = bursts[sid][0]
+                reason = ISSUED
+            elif (lsu_full and sched._mem_stalled
+                    and cycle < sched._mem_wake and not sched._is_lrr):
+                memo = memos[sid]
+                if memo[0] != sched._mem_stalled:
+                    memo = (sched._mem_stalled,
+                            sched.first_ready(cycle)[0].kernel_slot)
+                    memos[sid] = memo
+                k = memo[1]
                 reason = STALL_LSU_FULL
-            elif not self.bundle.limiter.can_issue(
-                    k, self.kstate[k].inflight_minsts):
-                reason = STALL_MIL_CAPPED
+                held.append((sched, memo[0], self._obs_runs[sid]))
+            elif cycle < sched._next_wake:
+                warp = sched.first_with_work()
+                if warp is None:
+                    k = KERNEL_NONE
+                    reason = STALL_NO_WARP
+                else:
+                    k = warp.kernel_slot
+                    reason = STALL_SCOREBOARD
             else:
-                reason = STALL_OTHER
-            table.bump_sched(sm_id, sid, k, reason)
+                k, reason = self._obs_classify(sched, cycle)
+            run = self._obs_runs[sid]
+            if run[2] and run[0] == k and run[1] is reason:
+                run[2] += 1
+            else:
+                if run[2]:
+                    obs.stalls.bump_sched(self.sm_id, sid, run[0], run[1],
+                                          run[2])
+                run[0] = k
+                run[1] = reason
+                run[2] = 1
+        self._obs_steady = (held if len(held) == len(self.schedulers)
+                            else None)
         issued.clear()
         lost.clear()
+
+    def _obs_classify(self, sched: WarpScheduler, cycle: int):
+        """``(kernel, reason)`` for a scheduler whose ``select()`` ran
+        this cycle and issued nothing: pin the lost slot on its first
+        warp in priority order, by :meth:`WarpScheduler.first_ready`."""
+        warp, op, status = sched.first_ready(cycle)
+        if status == "empty":
+            return KERNEL_NONE, STALL_NO_WARP
+        k = warp.kernel_slot
+        if status == "blocked":
+            return k, STALL_SCOREBOARD
+        # A latency-ready warp had work but nothing issued: pin the
+        # denial on the gate, the port, or the memory pipeline.
+        gate = self._gate
+        if gate is not None and not gate.can_issue(k):
+            reason = STALL_SMK_GATE
+        elif op == OP_SFU or op == OP_ALU:
+            reason = (STALL_EXEC_PORT
+                      if op == OP_SFU and self._sfu_used
+                      else STALL_OTHER)
+        elif not self._lsu_free:
+            reason = STALL_LSU_FULL
+        elif not self.bundle.limiter.can_issue(
+                k, self.kstate[k].inflight_minsts):
+            reason = STALL_MIL_CAPPED
+        else:
+            reason = STALL_OTHER
+        return k, reason
+
+    def _obs_pay_runs(self, obs) -> None:
+        """Pay the run-length batched outcomes of ``_obs_runs`` into
+        the stall table (span ends and result collection read it
+        next).  ``obs`` is the guarded sentinel."""
+        table = obs.stalls
+        for sid, run in enumerate(self._obs_runs):
+            if run[2]:
+                table.bump_sched(self.sm_id, sid, run[0], run[1], run[2])
+                run[2] = 0
+
+    def _obs_charge_sleep(self, obs, first: int, gap: int) -> None:
+        """Charge the issue slots of the ``gap`` slept cycles from
+        ``first`` on (whole-SM sleep or engine leap), before the
+        catch-up moves the rotation state past them.
+
+        A sleeping SM's schedulers are each either mid-burst — every
+        slept cycle issued one ALU op of the burst — or asleep on their
+        hint: no warp is latency-ready before ``_next_wake``, so every
+        slept slot classifies as ``scoreboard`` against the first warp
+        with work in priority order, or ``no_warp`` when none has work.
+        Under GTO that warp is fixed for the whole sleep (only an issue
+        moves the greedy warp or a head op); under LRR it follows the
+        rotation, so each of the at most ``n`` start positions is
+        charged its share of the gap.  ``obs`` is the guarded sentinel.
+        """
+        table = obs.stalls
+        sm_id = self.sm_id
+        for sched in self.schedulers:
+            sid = sched.sched_id
+            if sched._auto_left:
+                table.bump_sched(sm_id, sid, sched._auto_warp.kernel_slot,
+                                 ISSUED, gap)
+                continue
+            n = len(sched.warps)
+            if sched._is_lrr and n > 1:
+                rounds, extra = divmod(gap, n)
+                shares = [(sched._lrr_pos + i, rounds + (i < extra))
+                          for i in range(min(gap, n))]
+            else:
+                shares = [(None, gap)]
+            for rotation, count in shares:
+                warp = sched.first_with_work(rotation)
+                if warp is None:
+                    table.bump_sched(sm_id, sid, KERNEL_NONE, STALL_NO_WARP,
+                                     count)
+                else:
+                    table.bump_sched(sm_id, sid, warp.kernel_slot,
+                                     STALL_SCOREBOARD, count)
 
     # ------------------------------------------------------------------
     # scheme event hooks (called by the LSU)
@@ -827,22 +939,37 @@ class StreamingMultiprocessor:
                     self._sleep_until = cycle
 
     # ------------------------------------------------------------------
-    def _settle_sleep_debt(self, end: int) -> None:
-        """Settle burst-sleep accounting when the run ends mid-sleep.
+    def _catch_up(self, first: int, gap: int) -> None:
+        """Pay the ``gap`` cycles ``first .. first+gap-1`` this SM slept
+        through, in one batch: the wake-up tick and the span-end
+        settlement (:meth:`_settle_sleep_debt`) both come here.
 
-        A burst-sleeping SM defers its per-cycle issue bookkeeping to
-        the wake-up tick's catch-up; if the run's final cycle falls
-        inside the sleep window that tick never comes, so result
-        collection pays the issues for the slept cycles here (exactly
-        the cycles ``last_tick+1 .. min(end, _sleep_until)-1``, each of
-        which issued one ALU per mid-burst scheduler).  Idempotent via
-        the ``_last_tick`` advance; a no-op for idle sleeps and awake
-        SMs (nothing armed, or an empty gap)."""
-        horizon = self._sleep_until
-        if horizon > end:
-            horizon = end
-        gap = horizon - self._last_tick - 1
-        if gap <= 0:
+        The scheduler round-robin start advances once per cycle in the
+        reference loop, including cycles a sleeping SM skipped: catch
+        the rotation phase up so arbitration order stays bit-identical.
+        Under LRR each scheduler's rotation position advances once per
+        select() call while it owns warps — including the sleep-hint
+        early-outs the skipped cycles would have taken — so it owes the
+        same catch-up.
+
+        Under GTO, burst sleep: each slept cycle issued exactly one ALU
+        per mid-burst scheduler (the sleep horizon was capped at every
+        burst's remaining length, and any event that could break a
+        burst early lowers _sleep_until to its own cycle — see
+        _on_meminst_complete — so the premise held for the whole gap).
+        Pay the deferred per-issue bookkeeping here; the warp's stale
+        ready_at is harmless (the burst step and note_load_done compare
+        it against ``cycle`` the same way a per-cycle value would).
+        Observed runs charge the slept issue slots first
+        (:meth:`_obs_charge_sleep`)."""
+        obs = self._obs
+        if obs is not None:
+            self._obs_charge_sleep(obs, first, gap)
+        self._sched_rr = (self._sched_rr + gap) % len(self.schedulers)
+        if self._lrr:
+            for sched in self.schedulers:
+                if sched.warps:
+                    sched._lrr_pos += gap
             return
         for sched in self.schedulers:
             left = sched._auto_left
@@ -852,6 +979,40 @@ class StreamingMultiprocessor:
                 stats.alu_insts += gap
                 self.alu_busy += gap
                 sched._auto_left = left - gap
+
+    def settle(self, end: int) -> None:
+        """Settle every deferred debt up to cycle ``end`` (exclusive):
+        the LSU's batched stall replays, the slept cycles of a sleep
+        that outlasts ``end``, and an observed run's run-length batched
+        issue-slot charges.  The engine calls it at every span end and
+        before result collection."""
+        self.lsu._flush_stall_debt()
+        self._settle_sleep_debt(end)
+        obs = self._obs
+        if obs is not None:
+            self._obs_pay_runs(obs)
+
+    def _settle_sleep_debt(self, end: int) -> None:
+        """Settle sleep accounting when a run or span ends mid-sleep.
+
+        A sleeping SM defers its per-cycle state to the wake-up tick's
+        catch-up; if the span's final cycle falls inside the sleep
+        window that tick has not come yet, so the engine pays the slept
+        cycles ``last_tick+1 .. min(end, _sleep_until)-1`` here — burst
+        issues, rotation phase and (observed runs) issue-slot charges
+        alike — so a run split at any cycle equals the unsplit run.
+        Idempotent via the ``_last_tick`` advance; a no-op for awake
+        SMs (an empty gap)."""
+        horizon = self._sleep_until
+        if horizon > end:
+            horizon = end
+        last = self._last_tick
+        gap = horizon - last - 1
+        if gap <= 0:
+            return
+        self._catch_up(last + 1, gap)
+        for sched in self.schedulers:
+            if sched._auto_left:
                 sched._auto_warp.ready_at = horizon
         self._last_tick = horizon - 1
 

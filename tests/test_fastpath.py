@@ -31,18 +31,26 @@ CASES = [
     ("ucp", ("3m", "bp"), (2, 2), {"ucp": True, "ucp_interval": 500}, {}),
     ("smk-quota", ("3m", "bp"), (2, 2), {"smk_quotas": (3, 1)}, {}),
     ("bypass", ("st", "sv"), (2, 2), {"l1d_bypass": (True, False)}, {}),
+    # MIL caps that bind right as a full LSU drains a slot.
+    ("smil-capped", ("cd", "sv"), (2, 6),
+     {"mil": "smil", "smil_limits": (8, 8)}, {}),
 ]
 
 
-def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, reference):
+def build_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs, reference, **kwargs):
     config = scaled_config(**cfg_kwargs) if cfg_kwargs else CONFIG
     profiles = [get_profile(k) for k in kernels]
     # Launches hold mutable stream state: build fresh ones per GPU.
     launches = make_launches(profiles, list(tbs), config, seed=3)
     gpu = GPU(config, launches, SchemeConfig(**scheme_kwargs),
-              reference=reference)
+              reference=reference, **kwargs)
     assert gpu.reference is reference
-    return gpu.run(CYCLES)
+    return gpu
+
+
+def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, reference):
+    return build_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                     reference).run(CYCLES)
 
 
 @pytest.mark.parametrize(
@@ -82,3 +90,40 @@ def test_mid_run_tb_limit_change_matches_reference():
             gpu.set_tb_limit(sm_id, 0, 3)
         results.append(result_signature(gpu.run(800)))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "kernels,tbs,scheme_kwargs,cfg_kwargs",
+    [case[1:] for case in CASES],
+    ids=[case[0] for case in CASES])
+def test_split_run_matches_unsplit(kernels, tbs, scheme_kwargs, cfg_kwargs):
+    """``run(a)`` + ``run(n - a)`` == ``run(n)`` on the fast loop: a run
+    that ends mid-sleep settles the slept cycles — rotation phase
+    included — so the resumed run arbitrates exactly as the unsplit
+    one.  Several split points, so some land inside SM sleeps."""
+    whole = result_signature(run_once(kernels, tbs, scheme_kwargs,
+                                      cfg_kwargs, reference=False))
+    for splits in ((701, CYCLES - 701), (250, 333, 1, CYCLES - 584)):
+        gpu = build_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                        reference=False)
+        for cycles in splits:
+            result = gpu.run(cycles)
+        assert result_signature(result) == whole, splits
+
+
+@pytest.mark.parametrize("names", [("dc", "pf"), ("3m", "bp"), ("st", "sv")],
+                         ids=lambda names: "+".join(names))
+def test_dynamic_ws_fast_matches_reference(names, monkeypatch):
+    """Dynamic Warped-Slicer drives one GPU through many run() calls
+    with TB limits reconfigured in between — the resume path the
+    split-run test pins down, end to end."""
+    from repro.cke.dynamic_ws import DynamicWarpedSlicer
+    profiles = [get_profile(name) for name in names]
+    outcomes = []
+    for reference in ("1", "0"):
+        monkeypatch.setenv("REPRO_REFERENCE_LOOP", reference)
+        dyn = DynamicWarpedSlicer(profiles, CONFIG).execute(3000)
+        outcomes.append((dyn.window_insts, dyn.partition,
+                         [curve.ipc_by_tbs for curve in dyn.curves],
+                         result_signature(dyn.result)))
+    assert outcomes[0] == outcomes[1]

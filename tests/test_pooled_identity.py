@@ -91,14 +91,22 @@ def test_obs_matrix_identical():
     assert len(set(cells.values())) == 1, cells.keys()
 
 
-def test_obs_default_prefers_object_path():
-    """``obs=True`` forces the reference loop, and an unset ``pooled``
-    then resolves to the object path — obs runs never silently change
-    substrate underneath the operator."""
+def test_obs_default_keeps_fast_pooled_path(monkeypatch):
+    """Observing never picks the loop or the memory path: ``obs=True``
+    leaves ``reference`` False and ``pooled`` True unless the caller
+    sets them."""
+    monkeypatch.delenv("REPRO_REFERENCE_LOOP", raising=False)
+    monkeypatch.delenv("REPRO_POOLED_MEM", raising=False)
     launches = make_launches([get_profile("st")], [2], CONFIG, seed=1)
     gpu = GPU(CONFIG, launches, SchemeConfig(), obs=Observability())
-    assert gpu.reference is True
-    assert gpu.pooled is False
+    assert gpu.reference is False
+    assert gpu.pooled is True
+    for reference, pooled in ((True, None), (None, False), (True, True)):
+        launches = make_launches([get_profile("st")], [2], CONFIG, seed=1)
+        gpu = GPU(CONFIG, launches, SchemeConfig(), obs=True,
+                  reference=reference, pooled=pooled)
+        assert gpu.reference is bool(reference)
+        assert gpu.pooled is (not reference if pooled is None else pooled)
 
 
 def test_pooled_env_var_controls_default(monkeypatch):

@@ -120,11 +120,11 @@ class TestObsNeutrality:
         assert report is not None
         assert plain.obs is None
 
-    def test_obs_forces_reference_loop(self):
+    def test_obs_keeps_the_fast_loop(self):
         cfg = scaled_config()
         launches = make_launches([get_profile("bp")], [2], cfg, seed=3)
         gpu = GPU(cfg, launches, SchemeConfig(), obs=True)
-        assert gpu.reference is True
+        assert gpu.reference is False
 
 
 class TestReportSurface:
