@@ -122,8 +122,9 @@ _WORKER_FAULT_PLAN = None
 
 
 def _init_worker(config, settings: RunnerSettings, cache_dir: Optional[str],
-                 iso_seed: Sequence[Tuple[Optional[int], IsoRecord]],
-                 curve_seed: Sequence[ScalabilityCurve]) -> None:
+                 iso_seed: Sequence[Tuple[Tuple, IsoRecord]],
+                 curve_seed: Sequence[Tuple[Tuple, ScalabilityCurve]]
+                 ) -> None:
     """Build this worker's private runner, pre-seeded with everything
     the parent already knows so shared inputs are never recomputed.
 
@@ -139,10 +140,8 @@ def _init_worker(config, settings: RunnerSettings, cache_dir: Optional[str],
     error, never a silent fault-free run."""
     global _WORKER_RUNNER, _WORKER_FAULT_PLAN
     runner = ExperimentRunner(config, settings, cache_dir=cache_dir)
-    for cycles, record in iso_seed:
-        _install_iso(runner, record, cycles)
-    for curve in curve_seed:
-        _install_curve(runner, curve)
+    runner._iso_cache.update(iso_seed)
+    runner._curve_cache.update(curve_seed)
     _WORKER_RUNNER = runner
     from repro.harness.resilience import FaultPlan
     _WORKER_FAULT_PLAN = FaultPlan.from_env()
@@ -204,44 +203,25 @@ def execute_job(runner: ExperimentRunner, job: Job):
 
 # ----------------------------------------------------------------------
 # parent-side cache installation
-def _install_iso(runner: ExperimentRunner, record: IsoRecord,
-                 cycles: Optional[int]) -> None:
-    # ``isolated()`` resolves a default (None) TB count before its
-    # cache lookup, so keying by the record's resolved count serves
-    # both explicit and default-TB requests.
-    cycles = cycles or runner.settings.iso_cycles
-    runner._iso_cache[runner._iso_key(record.name, record.tbs, cycles)] \
-        = record
-
-
-def _install_curve(runner: ExperimentRunner, curve: ScalabilityCurve) -> None:
-    key = (runner._cfg_key, curve.kernel, runner.settings.curve_cycles,
-           runner.settings.seed, _cache_version())
-    runner._curve_cache[key] = curve
-
-
-def _cache_version() -> int:
-    from repro.harness.runner import CACHE_VERSION
-    return CACHE_VERSION
-
-
 def _absorb(runner: ExperimentRunner, job: Job, result) -> None:
-    """Install a worker's result into the parent runner's caches."""
+    """Install a worker's result into the parent runner's caches.
+    Jobs name stock profiles, so the key is the stock profile's."""
     if isinstance(job, IsoJob):
-        _install_iso(runner, result, job.cycles)
+        # ``isolated()`` resolves a default (None) TB count before its
+        # cache lookup, so keying by the record's resolved count serves
+        # both explicit and default-TB requests.
+        cycles = job.cycles or runner.settings.iso_cycles
+        key = runner._iso_key(get_profile(job.kernel), result.tbs, cycles)
+        runner._iso_cache[key] = result
     elif isinstance(job, CurveJob):
-        _install_curve(runner, result)
+        runner._curve_cache[runner._curve_key(get_profile(job.kernel))] \
+            = result
 
 
 def _seed_payload(runner: ExperimentRunner):
-    """Everything the parent's in-memory caches hold, as initargs.
-
-    ``_iso_key`` is ``(version, cfg, name, tbs, cycles, seed)`` — the
-    cycle budget rides along so the worker re-keys records exactly."""
-    iso_seed = [(key[4], record)
-                for key, record in runner._iso_cache.items()]
-    curve_seed = list(runner._curve_cache.values())
-    return iso_seed, curve_seed
+    """Everything the parent's in-memory caches hold, as initargs:
+    the workers install the entries under the parent's keys."""
+    return list(runner._iso_cache.items()), list(runner._curve_cache.items())
 
 
 # ----------------------------------------------------------------------
@@ -260,11 +240,10 @@ def _probe_cache(runner: ExperimentRunner, job: Job):
         if tbs is None:
             tbs = get_profile(job.kernel).max_tbs_per_sm(runner.config)
         cycles = job.cycles or runner.settings.iso_cycles
-        key = runner._iso_key(job.kernel, tbs, cycles)
+        key = runner._iso_key(get_profile(job.kernel), tbs, cycles)
         return runner._iso_cache.get(key, _CACHE_MISS)
     if isinstance(job, CurveJob):
-        key = (runner._cfg_key, job.kernel, runner.settings.curve_cycles,
-               runner.settings.seed, _cache_version())
+        key = runner._curve_key(get_profile(job.kernel))
         return runner._curve_cache.get(key, _CACHE_MISS)
     return _CACHE_MISS
 

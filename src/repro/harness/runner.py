@@ -51,7 +51,7 @@ from repro.sim.stats import RunResult
 from repro.workloads.kernel import KernelProfile
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
-from repro.workloads.trace import configure_disk_cache
+from repro.workloads.trace import configure_disk_cache, profile_fingerprint
 
 #: bump when profile calibration or simulator timing changes, to
 #: invalidate the on-disk isolated-run cache.
@@ -101,6 +101,20 @@ class WorkloadOutcome:
 
     def kernel_norm(self, index: int) -> float:
         return self.norm_ipcs[index]
+
+
+def profile_key(profile: KernelProfile) -> Optional[Tuple]:
+    """Everything about ``profile`` a simulation reads: its name, the
+    stream fingerprint (instruction mix, iteration count, address
+    pattern) and the timing-only fields the fingerprint leaves out
+    (MLP and the per-TB resource footprint).  ``None`` for a profile
+    whose pattern has no ``trace_signature``: its content cannot be
+    keyed, so its runs are never cached."""
+    fingerprint = profile_fingerprint(profile)
+    if fingerprint is None:
+        return None
+    return (profile.name, fingerprint, profile.mlp, profile.threads_per_tb,
+            profile.regs_per_thread, profile.smem_per_tb)
 
 
 def _config_key(config: GPUConfig) -> str:
@@ -159,12 +173,23 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     # isolated runs
-    def _iso_key(self, name: str, tbs: int, cycles: int) -> Tuple:
-        return (CACHE_VERSION, self._cfg_key, name, tbs, cycles,
+    def _iso_key(self, profile: KernelProfile, tbs: int,
+                 cycles: int) -> Optional[Tuple]:
+        content = profile_key(profile)
+        if content is None:
+            return None
+        return (CACHE_VERSION, self._cfg_key, content, tbs, cycles,
                 self.settings.seed)
 
-    def _disk_path(self, key: Tuple) -> Optional[str]:
-        if not self.cache_dir:
+    def _curve_key(self, profile: KernelProfile) -> Optional[Tuple]:
+        content = profile_key(profile)
+        if content is None:
+            return None
+        return (self._cfg_key, content, self.settings.curve_cycles,
+                self.settings.seed, CACHE_VERSION)
+
+    def _disk_path(self, key: Optional[Tuple]) -> Optional[str]:
+        if not self.cache_dir or key is None:
             return None
         digest = hashlib.md5(repr(key).encode()).hexdigest()
         return os.path.join(self.cache_dir, f"iso-{digest}.json")
@@ -177,7 +202,7 @@ class ExperimentRunner:
         if tbs < 1:
             raise ValueError(f"{profile.name} cannot fit a single TB")
         cycles = cycles or self.settings.iso_cycles
-        key = self._iso_key(profile.name, tbs, cycles)
+        key = self._iso_key(profile, tbs, cycles)
         if key in self._iso_cache:
             return self._iso_cache[key]
         path = self._disk_path(key)
@@ -201,7 +226,8 @@ class ExperimentRunner:
             sfu_utilization=result.sfu_utilization(),
             compute_utilization=result.compute_utilization(),
         )
-        self._iso_cache[key] = record
+        if key is not None:
+            self._iso_cache[key] = record
         if path:
             _atomic_write_json(path, asdict(record))
         return record
@@ -229,15 +255,15 @@ class ExperimentRunner:
 
     def curve(self, profile: KernelProfile) -> ScalabilityCurve:
         """Scalability curve (Warped-Slicer profiling, Figure 3a)."""
-        key = (self._cfg_key, profile.name, self.settings.curve_cycles,
-               self.settings.seed, CACHE_VERSION)
+        key = self._curve_key(profile)
         if key in self._curve_cache:
             return self._curve_cache[key]
         max_tbs = profile.max_tbs_per_sm(self.config)
         points = [self.isolated(profile, tbs, self.settings.curve_cycles).ipc
                   for tbs in range(1, max_tbs + 1)]
         curve = ScalabilityCurve(profile.name, tuple(points))
-        self._curve_cache[key] = curve
+        if key is not None:
+            self._curve_cache[key] = curve
         return curve
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ class KernelLaunch:
         self.pattern = profile.pattern_factory()
         self._warp_counter = itertools.count()
         self._stream_seed = seed * 7919 + slot
-        # Precompiled trace for this (profile, seed), shared process-
+        # Compiled trace for this (profile, seed), shared process-
         # wide; None when the profile is untraceable or tracing is
         # disabled (REPRO_NO_TRACE=1) — then streams fall back to live
         # RNG generation.  Replay is bit-identical either way, so both
@@ -52,14 +52,14 @@ class KernelLaunch:
         return next(self._warp_counter)
 
     def new_stream(self, warp_index: int):
-        # Streams rebase their region-local lines by base_line up
-        # front, so every descriptor they hand the SM is already in
-        # global line space (one rebase per stream, not per issue).
+        # Streams rebase their region-local lines by base_line as they
+        # receive them, so every descriptor they hand the SM is already
+        # in global line space (one rebase per compiled prefix, not per
+        # issue).  A replay starts on the warp's compiled prefix and
+        # asks the trace to extend it as it goes.
         trace = self.trace
         if trace is not None:
-            ops, lines = trace.warp_arrays(warp_index)
-            return ReplayStream(self.profile, ops, lines,
-                                base_line=self.base_line)
+            return ReplayStream(trace, warp_index, base_line=self.base_line)
         return InstructionStream(self.profile, self.pattern, warp_index,
                                  seed=self._stream_seed,
                                  base_line=self.base_line)

@@ -30,7 +30,7 @@ OP_SFU = "sfu"
 OP_LOAD = "ld"
 OP_STORE = "st"
 
-#: single-byte opcode encoding used by precompiled traces
+#: single-byte opcode encoding used by compiled traces
 #: (:mod:`repro.workloads.trace`).  Ops are compared by identity
 #: throughout the simulator, so replay decodes codes back to the
 #: interned module constants above via :data:`OP_BY_CODE`.
@@ -254,7 +254,7 @@ class InstructionStream:
         """Number of consecutive ALU instructions at the stream head.
 
         Live streams cannot look ahead without drawing RNG state, so
-        they report 0; precompiled :class:`ReplayStream`\\ s scan their
+        they report 0; compiled :class:`ReplayStream`\\ s scan their
         opcode array.  The SM's issue autopilot uses this to batch
         provably-identical back-to-back ALU issues."""
         return 0
@@ -278,7 +278,7 @@ class InstructionStream:
 
 
 class ReplayStream:
-    """Replays a precompiled ``(profile, warp_index, seed)`` trace.
+    """Replays one warp of a compiled ``(profile, seed)`` trace.
 
     Drop-in replacement for :class:`InstructionStream`, built from the
     flat arrays a :class:`repro.workloads.trace.KernelTrace` compiled:
@@ -290,20 +290,29 @@ class ReplayStream:
     construction: the compiler drove a real :class:`InstructionStream`
     through exactly the SM's ``pop()`` / ``memory_descriptor()`` call
     sequence (see ``docs/PERF.md`` for the proof obligations).
+
+    The arrays are a prefix of whole iterations; when the position
+    reaches its end with iterations left, :meth:`_grow` asks the trace
+    to extend this warp.  Only that branch of each pop differs from a
+    replay of the whole stream.
     """
 
     __slots__ = ("profile", "next_op", "_ops", "_lines", "_pos", "_len",
                  "_rpm", "_mem_seen", "_desc_start", "_iters_left",
-                 "_scratch")
+                 "_scratch", "_trace", "_warp", "_base")
 
-    def __init__(self, profile: KernelProfile, ops: bytes, lines,
-                 base_line: int = 0):
+    def __init__(self, trace, warp_index: int, base_line: int = 0):
+        profile = trace.profile
         self.profile = profile
+        self._trace = trace
+        self._warp = warp_index
+        self._base = base_line
+        ops, lines = trace.warp_arrays(warp_index)
         self._ops = ops
-        # Rebase the whole footprint once at stream creation (one
-        # C-level comprehension) instead of per memory instruction in
-        # the SM's issue path; the compiled arrays are region-local so
-        # one trace serves every launch of the profile.
+        # Rebase the footprint as it arrives (one C-level
+        # comprehension per prefix) instead of per memory instruction
+        # in the SM's issue path; the compiled arrays are region-local
+        # so one trace serves every launch of the profile.
         self._lines = [base_line + l for l in lines] if base_line else lines
         self._pos = 0
         self._len = len(ops)
@@ -313,6 +322,24 @@ class ReplayStream:
         self._iters_left = profile.iters_per_warp
         self._scratch = MemInstDescriptor((), False)
         self.next_op: Optional[str] = OP_BY_CODE[ops[0]] if ops else None
+
+    def _grow(self, pos: int) -> Optional[str]:
+        """The opcode at ``pos``, the end of the compiled prefix:
+        ``None`` when the stream is exhausted (every iteration popped),
+        else the first op of the extended prefix.  Only the new lines
+        are rebased; a ``lines`` list shared with the trace (base 0)
+        already grew in place."""
+        if not self._iters_left:
+            return None
+        ops, lines = self._trace.extend(self._warp, pos)
+        mine = self._lines
+        if mine is not lines:
+            base = self._base
+            tail = lines[len(mine):]
+            mine.extend([base + l for l in tail] if base else tail)
+        self._ops = ops
+        self._len = len(ops)
+        return OP_BY_CODE[ops[pos]]
 
     @property
     def done(self) -> bool:
@@ -331,7 +358,8 @@ class ReplayStream:
             self._iters_left -= 1
         pos = self._pos + 1
         self._pos = pos
-        self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
+        self.next_op = (OP_BY_CODE[self._ops[pos]] if pos < self._len
+                        else self._grow(pos))
         return op
 
     def memory_descriptor(self, is_store: bool) -> MemInstDescriptor:
@@ -373,10 +401,10 @@ class ReplayStream:
         run = j - pos
         if run and (allow_end or j < end):
             self._pos = j
-            self.next_op = OP_BY_CODE[ops[j]] if j < end else None
+            self.next_op = OP_BY_CODE[ops[j]] if j < end else self._grow(j)
             return run
         self._pos = pos
-        self.next_op = OP_BY_CODE[ops[pos]] if pos < end else None
+        self.next_op = OP_BY_CODE[ops[pos]] if pos < end else self._grow(pos)
         return 0
 
     def skip_alu_run(self, run: int) -> None:
@@ -386,7 +414,8 @@ class ReplayStream:
         pop touches nothing but the position."""
         pos = self._pos + run
         self._pos = pos
-        self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
+        self.next_op = (OP_BY_CODE[self._ops[pos]] if pos < self._len
+                        else self._grow(pos))
 
     def rewind_alu(self, count: int) -> None:
         """Give back ``count`` unissued ALU opcodes of a skipped run
@@ -405,7 +434,8 @@ class ReplayStream:
         self._iters_left -= 1
         pos = self._pos + 1
         self._pos = pos
-        self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
+        self.next_op = (OP_BY_CODE[self._ops[pos]] if pos < self._len
+                        else self._grow(pos))
         return self._lines[start:start + self._rpm]
 
     def remaining_iterations(self) -> int:

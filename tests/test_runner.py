@@ -35,6 +35,35 @@ class TestIsolatedCache:
         curve = runner.curve(profile)
         assert curve.max_tbs == profile.max_tbs_per_sm(runner.config)
 
+    def test_variant_profile_is_not_served_stock_results(self, tmp_path):
+        """Caches are keyed by profile content, not name: a ``bp``
+        variant with a different instruction mix must not be handed
+        the stock ``bp`` record, in memory or from disk."""
+        import dataclasses
+        stock = get_profile("bp")
+        variant = dataclasses.replace(
+            stock, cinst_per_minst=stock.cinst_per_minst * 4)
+        fresh = ExperimentRunner(scaled_config(), FAST).isolated(variant)
+        cached = ExperimentRunner(scaled_config(), FAST,
+                                  cache_dir=str(tmp_path))
+        stock_ipc = cached.isolated(stock).ipc
+        assert fresh.ipc != stock_ipc
+        assert cached.isolated(variant).ipc == fresh.ipc
+        reopened = ExperimentRunner(scaled_config(), FAST,
+                                    cache_dir=str(tmp_path))
+        assert reopened.isolated(variant).ipc == fresh.ipc
+        assert reopened.isolated(stock).ipc == stock_ipc
+        assert (reopened.curve(variant).ipc_by_tbs
+                != reopened.curve(stock).ipc_by_tbs)
+
+    def test_timing_only_fields_split_the_cache(self, runner):
+        """mlp shares a trace but not a result."""
+        import dataclasses
+        stock = get_profile("cd")
+        deeper = dataclasses.replace(stock, mlp=stock.mlp + 3)
+        assert (runner.isolated(deeper).ipc
+                != runner.isolated(stock).ipc)
+
     def test_rejects_impossible_tbs(self, runner):
         with pytest.raises(ValueError):
             runner.isolated(get_profile("bp"), tbs=0)
