@@ -239,13 +239,18 @@ class L1DCache:
         self.mshrs = MSHRFile(config.mshrs, config.mshr_merge)
         self.miss_queue: Deque[object] = deque()
         self.stats = CacheStats()
-        #: bumped whenever a resource an ``access`` outcome depends on
-        #: is released *outside* ``access`` itself (a fill freeing the
-        #: line + MSHR, the subsystem draining a miss-queue slot).  The
-        #: LSU uses it to memoise a stalled request's replay verdict:
-        #: same request + same version (+ same way partition) must fail
-        #: the same way, so only the stats bumps need replaying.
+        #: bumped (only through :meth:`bump_version`) whenever a
+        #: resource an ``access`` outcome depends on is released
+        #: *outside* ``access`` itself (a fill freeing the line + MSHR,
+        #: the subsystem draining a miss-queue slot).  The LSU uses it
+        #: to memoise a stalled request's replay verdict: same request +
+        #: same version (+ same way partition) must fail the same way,
+        #: so only the stats bumps need replaying.
         self.version = 0
+        #: the owning SM while it sleeps on a stalled LSU head (the
+        #: memory-stall sleep), else None: a version bump wakes it
+        #: (:meth:`bump_version`).
+        self._sleeper = None
 
     @property
     def miss_queue_full(self) -> bool:
@@ -323,10 +328,19 @@ class L1DCache:
         stats.misses[kernel] += 1
         return AccessResult.MISS
 
-    def fill(self, line_addr: int) -> List[object]:
-        """A fill returned from L2: complete the line and release the
-        MSHR.  Returns the requests waiting on this line."""
+    def bump_version(self, cycle: int) -> None:
+        """A resource ``access`` depends on was released at ``cycle``:
+        invalidate the LSU's replay memo and wake an SM stall-sleeping
+        on it, so its stalled head retries on this same cycle."""
         self.version += 1
+        sleeper = self._sleeper
+        if sleeper is not None:
+            sleeper.wake(cycle)
+
+    def fill(self, line_addr: int, cycle: int) -> List[object]:
+        """A fill returned from L2 at ``cycle``: complete the line and
+        release the MSHR.  Returns the requests waiting on this line."""
+        self.bump_version(cycle)
         self.tags.fill(line_addr)
         entry = self.mshrs.release(line_addr)
         return entry.waiters
@@ -346,7 +360,7 @@ class PooledL1DCache:
     """
 
     __slots__ = ("config", "pool", "tags", "mshrs", "miss_queue", "stats",
-                 "version", "_mq_pending", "_miss_queue_cap")
+                 "version", "_sleeper", "_mq_pending", "_miss_queue_cap")
 
     def __init__(self, config: CacheConfig, pool, mq_pending=None):
         # Imported here: repro.mem.pool imports nothing from this
@@ -359,8 +373,9 @@ class PooledL1DCache:
         self.mshrs = ArrayMSHRFile(config.mshrs, config.mshr_merge)
         self.miss_queue: Deque[int] = deque()
         self.stats = CacheStats()
-        #: same replay-memo contract as :attr:`L1DCache.version`.
+        #: same replay-memo and wake contract as :class:`L1DCache`.
         self.version = 0
+        self._sleeper = None
         #: shared one-cell counter of queued miss entries across all
         #: L1s (owned by the pooled subsystem; gives its idle check and
         #: leap gate an O(1) "any miss queue non-empty" answer).
@@ -439,9 +454,12 @@ class PooledL1DCache:
         stats.misses[kernel] += 1
         return AccessResult.MISS
 
-    def fill(self, line_addr: int) -> List[int]:
-        """A fill returned from L2: returns the waiting slot ids (the
-        recycled list is valid until the MSHR entry is re-allocated)."""
-        self.version += 1
+    bump_version = L1DCache.bump_version
+
+    def fill(self, line_addr: int, cycle: int) -> List[int]:
+        """A fill returned from L2 at ``cycle``: returns the waiting
+        slot ids (the recycled list is valid until the MSHR entry is
+        re-allocated)."""
+        self.bump_version(cycle)
         self.tags.fill(line_addr)
         return self.mshrs.release(line_addr)

@@ -392,7 +392,7 @@ class MemorySubsystem:
             if obs is not None:
                 obs.mem_request_done(request, cycle)
             return
-        waiters = self.l1s[request.sm_id].fill(request.line)
+        waiters = self.l1s[request.sm_id].fill(request.line, cycle)
         for waiter in waiters:
             if waiter.meminst is not None:
                 waiter.meminst.request_done(cycle)
@@ -419,7 +419,7 @@ class MemorySubsystem:
             if not icnt.try_send_request(flits):
                 return
             queue.popleft()
-            l1.version += 1
+            l1.bump_version(cycle)
             self._inflight_to_l2 += 1
             self._schedule(cycle + self._icnt_latency, "l2_arrive", request)
             if self._obs is not None:
@@ -703,7 +703,7 @@ class PooledMemorySubsystem(MemorySubsystem):
                 obs.mem_request_done(pool.view(slot), cycle)
             pool.free(slot)
             return
-        waiters = self.l1s[pool.sm_id[slot]].fill(pool.line[slot])
+        waiters = self.l1s[pool.sm_id[slot]].fill(pool.line[slot], cycle)
         meminsts = pool.meminst
         for waiter in waiters:
             meminst = meminsts[waiter]
@@ -738,7 +738,7 @@ class PooledMemorySubsystem(MemorySubsystem):
                 return
             queue.popleft()
             pending[0] -= 1
-            l1.version += 1
+            l1.bump_version(cycle)
             self._inflight_to_l2 += 1
             self._schedule_ev(cycle + lat, (slot << 2) | EV_L2_ARRIVE)
             if self._obs is not None:

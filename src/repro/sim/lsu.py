@@ -35,7 +35,7 @@ class LoadStoreUnit:
                  "_current_request", "_stall_memo", "use_stall_memo",
                  "_stall_owed", "stall_cycles", "busy_cycles",
                  "bypass_by_kernel", "_obs", "pool", "_inline_stats",
-                 "_defer_ok")
+                 "_defer_ok", "_note_rsfail")
 
     def __init__(self, sm_id: int, l1: L1DCache, queue_depth: int = LSU_QUEUE_DEPTH,
                  width: int = 2):
@@ -60,10 +60,11 @@ class LoadStoreUnit:
         #: memo is cleared before the slot can be recycled).
         self._stall_memo = None
         self.use_stall_memo = True
-        #: replayed-stall cycles whose stats bumps are deferred (memo
-        #: valid + every per-stall hook inert): the whole stretch is
-        #: paid in one batch when the stall breaks (``_flush_stall_debt``)
-        #: or at a span end / result collection.  Observable state is
+        #: replayed-stall cycles whose stats bumps and scheme hook are
+        #: deferred (memo valid, ``_defer_ok``), the cycles of an SM's
+        #: memory-stall sleep included: the whole stretch is paid in
+        #: one batch when the stall breaks (``_flush_stall_debt``) or at
+        #: a span end / result collection.  Observable state is
         #: identical to per-cycle replay because nothing reads the
         #: counters while the debt is outstanding.
         self._stall_owed = 0
@@ -79,25 +80,30 @@ class LoadStoreUnit:
         #: runs the pooled memory path (``l1`` is then a
         #: ``PooledL1DCache``); None keeps the object path.
         self.pool = None
-        #: pooled-path per-run constants resolved by the owning SM:
-        #: the kernel-stats dict when the per-request SM hook reduces
-        #: to one stats bump (else None), and whether stall replays may
-        #: defer their stats (inert hooks).
+        #: per-run constants resolved by the owning SM: the
+        #: kernel-stats dict when the per-request SM hook reduces to one
+        #: stats bump (else None, pooled path only); whether stall
+        #: replays may defer (the owner pays them in batch); and the
+        #: limiter's batched ``note_rsfail(kernel, count)`` (None when
+        #: it is the no-op base hook).
         self._inline_stats = None
         self._defer_ok = False
+        self._note_rsfail = None
 
     def can_accept(self) -> bool:
         return len(self.queue) < self.queue_depth
 
     def _flush_stall_debt(self) -> None:
-        """Settle deferred stall replays: pay the owed stats bumps and
-        stall cycles for the memoised verdict in one batch — and, on an
-        observed run, the same count of LSU stall-taxonomy entries
-        under the memo's ``(kernel, result)``, which is what each
-        replayed cycle's ``lsu_rsfail`` would have recorded.  Must run
-        before anything reads ``stall_cycles``, the L1 stats or the
-        stall table (the engine's span ends and result collection do)
-        and whenever the memo's premise breaks."""
+        """Settle deferred stall replays: pay the owed stats bumps,
+        stall cycles and limiter ``note_rsfail`` calls for the memoised
+        verdict in one batch — and, on an observed run, the same count
+        of LSU stall-taxonomy entries under the memo's ``(kernel,
+        result)``, which is what each replayed cycle's ``lsu_rsfail``
+        would have recorded.  Must run before anything reads
+        ``stall_cycles``, the L1 stats or the stall table (the engine's
+        span ends and result collection do) and whenever the memo's
+        premise breaks — in particular before this LSU's next accepted
+        request, the only path to the limiter's ``note_request``."""
         owed = self._stall_owed
         if not owed:
             return
@@ -109,6 +115,9 @@ class LoadStoreUnit:
         stats.rsfails[kernel] += owed
         stats.rsfail_reasons[result] += owed
         self.stall_cycles += owed
+        note_rsfail = self._note_rsfail
+        if note_rsfail is not None:
+            note_rsfail(kernel, owed)
         obs = self._obs
         if obs is not None:
             obs.stalls.bump_lsu(self.sm_id, kernel, result, owed)
@@ -176,12 +185,12 @@ class LoadStoreUnit:
                         and memo[2] is l1.tags.partition):
                     # Nothing a failing lookup depends on changed since
                     # the last replay: replay the verdict and its stats
-                    # bumps without walking the cache.  When every
-                    # per-stall hook is inert (baseline schemes) even
-                    # the bumps are deferred — the owed count, stall
-                    # taxonomy entries included, is settled when the
-                    # stall breaks.
-                    if sm._mem_hooks_inert:
+                    # bumps without walking the cache.  When the owner
+                    # pays replays in batch (``_defer_ok``) even the
+                    # bumps are deferred — the owed count, limiter hook
+                    # and stall taxonomy entries included, is settled
+                    # when the stall breaks.
+                    if self._defer_ok:
                         self._stall_owed += 1
                         return
                     result = memo[3]

@@ -397,7 +397,7 @@ class WarpScheduler:
         sel.is_mem = True
         return sel
 
-    def first_ready(self, cycle: int):
+    def first_ready(self, cycle: int, rotation: Optional[int] = None):
         """Pure introspection for stall attribution (observability).
 
         Returns ``(warp, op, status)`` for the highest-priority warp
@@ -410,14 +410,15 @@ class WarpScheduler:
         Unlike :meth:`_priority_order` this never mutates scheduler
         state: it reconstructs the priority order the preceding
         ``select`` call used this cycle (for LRR, ``select`` already
-        advanced the rotation, hence the ``- 1``).
+        advanced the rotation, hence the ``- 1``); ``rotation``
+        overrides LRR's start position as in :meth:`first_with_work`.
         """
         warps = self.warps
         n = len(warps)
         if not n:
             return None, None, "empty"
         if self._is_lrr:
-            start = (self._lrr_pos - 1) % n
+            start = (self._lrr_pos - 1 if rotation is None else rotation) % n
             order = warps[start:] + warps[:start]
         else:
             order = sorted(warps, key=_age_of)

@@ -192,7 +192,12 @@ class StreamingMultiprocessor:
         self.lsu._inline_stats = (
             kernel_stats
             if self._mem_hooks_inert and timeline is None else None)
-        self.lsu._defer_ok = self._mem_hooks_inert
+        # Replayed stall cycles are always deferrable: the limiter's
+        # rsfail hook takes a count, so the flush pays the whole
+        # stretch in one call (docs/PERF.md §9).
+        self.lsu._defer_ok = True
+        if lim_cls.note_rsfail is not MemInstLimiter.note_rsfail:
+            self.lsu._note_rsfail = bundle.limiter.note_rsfail
         #: the baseline policy's pick is pure "first proposer wins":
         #: skip the candidate-list build and the dispatch entirely.
         self._pick_trivial = pol_cls.pick is UnmanagedIssue.pick
@@ -217,7 +222,9 @@ class StreamingMultiprocessor:
         #: position, which tick() catches up from the cycle gap —
         #: select() advances it exactly once per call whenever the
         #: scheduler owns warps, so skipped cycles owe one advance
-        #: each.
+        #: each.  A sleep with a (full) LSU queue is a memory-stall
+        #: sleep: the head re-fails every slept cycle until the L1D's
+        #: version changes, which wakes the SM (:meth:`wake`).
         self._sleep_until = 0
         self._last_tick = -1
         self._sleep_eligible = (fastpath
@@ -384,6 +391,8 @@ class StreamingMultiprocessor:
         last = self._last_tick
         self._last_tick = cycle
         if self._fastpath and cycle - last > 1:
+            # Awake again: a later version bump has no sleep to end.
+            self.l1._sleeper = None
             self._catch_up(last + 1, cycle - last - 1)
         fastpath = self._fastpath
         if self._ucp is not None:
@@ -555,8 +564,7 @@ class StreamingMultiprocessor:
             resident = [k for k, st in self.kstate.items() if st.resident_warps]
             if resident:
                 gate.maybe_reset(resident)
-        elif (self._sleep_eligible and self._launch_blocked
-                and not self.lsu.queue):
+        elif self._sleep_eligible and self._launch_blocked:
             # Every scheduler is either mid-ALU-burst (autopilot) or its
             # latest scan found nothing latency-ready (future hint), no
             # TB can launch and the LSU is drained: the SM's next ticks
@@ -570,21 +578,60 @@ class StreamingMultiprocessor:
             # holds for every slept cycle.  (A mid-burst scheduler's
             # _next_wake is <= its arming cycle, so bursts contribute
             # their end cycle here instead.)
-            wake = NEVER
-            for sched in self.schedulers:
-                left = sched._auto_left
-                nw = (cycle + left) if left else sched._next_wake
-                if nw < wake:
-                    wake = nw
-            if wake > cycle + 1:
-                self._sleep_until = wake
-                wheel = self._wheel
-                if wheel is not None and wake < NEVER:
-                    # Post the wake so the engine's leap target covers
-                    # this SM; a NEVER wake needs no entry (only an
-                    # external event — which posts its own cycle — can
-                    # rouse the SM).
-                    wheel.post(wake)
+            #
+            # Memory-stall sleep (docs/PERF.md §9): with the LSU full and
+            # its head just re-failed under a valid stall memo, each slept
+            # cycle replays that failure, and schedulers held by the
+            # memory-stall memo sleep too, until _mem_wake.  Any L1D
+            # version bump wakes the SM (L1DCache.bump_version).
+            queue = lsu.queue
+            if not queue:
+                wake = NEVER
+                for sched in self.schedulers:
+                    left = sched._auto_left
+                    nw = (cycle + left) if left else sched._next_wake
+                    if nw < wake:
+                        wake = nw
+                if wake > cycle + 1:
+                    self._sleep(wake, None)
+            elif (lsu._stall_memo is not None and mem_proposals is None
+                    and len(queue) >= lsu.queue_depth):
+                # Stalled ticks often have a scheduler that just issued
+                # (a memory proposal always means one did): stop at the
+                # first scheduler that keeps the SM awake.
+                nxt = cycle + 1
+                wake = NEVER
+                for sched in self.schedulers:
+                    left = sched._auto_left
+                    if left:
+                        nw = cycle + left
+                    else:
+                        nw = sched._next_wake
+                        if nw <= nxt:
+                            if not sched._mem_stalled:
+                                break
+                            nw = sched._mem_wake
+                    if nw <= nxt:
+                        break
+                    if nw < wake:
+                        wake = nw
+                else:
+                    self._sleep(wake, self)
+
+    def _sleep(self, wake: int, sleeper) -> None:
+        """Sleep until ``wake``; ``sleeper`` (this SM, or None when the
+        LSU is drained) is registered with the L1D for a memory-stall
+        sleep, so version bumps wake it (:meth:`wake`).  It stays
+        registered until the SM ticks again (or a load return settles
+        the ended sleep)."""
+        self._sleep_until = wake
+        self.l1._sleeper = sleeper
+        wheel = self._wheel
+        if wheel is not None and wake < NEVER:
+            # Post the wake so the engine's leap target covers this SM;
+            # a NEVER wake needs no entry (only an external event —
+            # which posts its own cycle — can rouse the SM).
+            wheel.post(wake)
 
     def _issue_compute(self, sched: WarpScheduler, warp: Warp, op: str,
                        cycle: int) -> None:
@@ -842,10 +889,17 @@ class StreamingMultiprocessor:
         hint: no warp is latency-ready before ``_next_wake``, so every
         slept slot classifies as ``scoreboard`` against the first warp
         with work in priority order, or ``no_warp`` when none has work.
-        Under GTO that warp is fixed for the whole sleep (only an issue
-        moves the greedy warp or a head op); under LRR it follows the
-        rotation, so each of the at most ``n`` start positions is
-        charged its share of the gap.  ``obs`` is the guarded sentinel.
+        In a memory-stall sleep a scheduler may instead be held by the
+        memory-stall memo (``_next_wake`` already passed): its ready
+        warps are all memory-headed behind a full LSU, so every slot is
+        ``lsu_full`` against the first ready warp — the memo episode's
+        cached verdict under GTO.  Under GTO those warps are fixed for
+        the whole sleep (only an issue moves the greedy warp or a head
+        op, and a load return settles a memory-stall sleep before it
+        lands, see :meth:`_on_meminst_complete`); under LRR they follow
+        the rotation, so each of the at most ``n`` start positions is
+        charged its share of the gap.
+        ``obs`` is the guarded sentinel.
         """
         table = obs.stalls
         sm_id = self.sm_id
@@ -855,6 +909,15 @@ class StreamingMultiprocessor:
                 table.bump_sched(sm_id, sid, sched._auto_warp.kernel_slot,
                                  ISSUED, gap)
                 continue
+            held = sched._next_wake <= first
+            episode = sched._mem_stalled
+            if held and episode and not sched._is_lrr:
+                memo = self._obs_memos[sid]
+                if memo[0] != episode:
+                    memo = (episode, sched.first_ready(first)[0].kernel_slot)
+                    self._obs_memos[sid] = memo
+                table.bump_sched(sm_id, sid, memo[1], STALL_LSU_FULL, gap)
+                continue
             n = len(sched.warps)
             if sched._is_lrr and n > 1:
                 rounds, extra = divmod(gap, n)
@@ -863,7 +926,18 @@ class StreamingMultiprocessor:
             else:
                 shares = [(None, gap)]
             for rotation, count in shares:
-                warp = sched.first_with_work(rotation)
+                if held:
+                    # LRR, or a memo cleared by a bypassed load that
+                    # returned mid-sleep (settled up to its cycle, so
+                    # the state now holds for the rest of the gap):
+                    # ready warps are memory-headed behind the full LSU.
+                    warp, _op, status = sched.first_ready(first, rotation)
+                    if status == "ready":
+                        table.bump_sched(sm_id, sid, warp.kernel_slot,
+                                         STALL_LSU_FULL, count)
+                        continue
+                else:
+                    warp = sched.first_with_work(rotation)
                 if warp is None:
                     table.bump_sched(sm_id, sid, KERNEL_NONE, STALL_NO_WARP,
                                      count)
@@ -909,7 +983,27 @@ class StreamingMultiprocessor:
         if not self._mem_hooks_inert:
             self.bundle.limiter.note_rsfail(kernel)
 
+    def wake(self, cycle: int) -> None:
+        """End a memory-stall sleep at ``cycle``: the L1D version moved
+        (:meth:`~repro.mem.cache.L1DCache.bump_version`), so the stalled
+        LSU head may now get through.  The memory subsystem ticks before
+        the SMs, so the SM retries on ``cycle`` itself."""
+        if cycle < self._sleep_until:
+            # No wheel post: the engine is ticking ``cycle`` already, so
+            # the entry would be stale before anyone read it.
+            self._sleep_until = cycle
+
     def _on_meminst_complete(self, inst: MemInst, cycle: int) -> None:
+        if self.l1._sleeper is not None and self._last_tick < cycle - 1:
+            # A load returns to an SM in (or waking this cycle from) a
+            # memory-stall sleep: settle the slept cycles before the
+            # return changes any warp, so the observed charge of
+            # memo-held schedulers classifies them from the state they
+            # were slept in (the later catch-up would see a warp unready
+            # that was ready).
+            self._settle_sleep_debt(cycle)
+            if self._sleep_until <= cycle:
+                self.l1._sleeper = None
         state = self.kstate[inst.kernel]
         state.inflight_minsts -= 1
         if not self._mem_hooks_inert:
@@ -961,10 +1055,17 @@ class StreamingMultiprocessor:
         ready_at is harmless (the burst step and note_load_done compare
         it against ``cycle`` the same way a per-cycle value would).
         Observed runs charge the slept issue slots first
-        (:meth:`_obs_charge_sleep`)."""
+        (:meth:`_obs_charge_sleep`).
+
+        A memory-stall sleep (non-empty LSU queue) also owes one replay
+        of the stalled head per slept cycle: those join the LSU's
+        deferred stall debt, whose flush pays them in one batch."""
         obs = self._obs
         if obs is not None:
             self._obs_charge_sleep(obs, first, gap)
+        lsu = self.lsu
+        if lsu.queue:
+            lsu._stall_owed += gap
         self._sched_rr = (self._sched_rr + gap) % len(self.schedulers)
         if self._lrr:
             for sched in self.schedulers:
@@ -986,8 +1087,8 @@ class StreamingMultiprocessor:
         that outlasts ``end``, and an observed run's run-length batched
         issue-slot charges.  The engine calls it at every span end and
         before result collection."""
-        self.lsu._flush_stall_debt()
         self._settle_sleep_debt(end)
+        self.lsu._flush_stall_debt()
         obs = self._obs
         if obs is not None:
             self._obs_pay_runs(obs)

@@ -95,7 +95,7 @@ class TestL1DCache:
         l1 = L1DCache(small_cache_config())
         req = read(0)
         assert l1.access(req, 0) == AccessResult.MISS
-        waiters = l1.fill(0)
+        waiters = l1.fill(0, 0)
         assert waiters == [req]
         assert l1.access(read(0), 1) == AccessResult.HIT
         assert l1.stats.hits[0] == 1
@@ -107,7 +107,7 @@ class TestL1DCache:
         assert l1.access(first, 0) == AccessResult.MISS
         assert l1.access(second, 0) == AccessResult.MISS_MERGED
         assert len(l1.miss_queue) == 1, "secondary miss must not enter miss queue"
-        assert set(l1.fill(0)) == {first, second}
+        assert set(l1.fill(0, 0)) == {first, second}
 
     def test_mshr_exhaustion_is_reservation_failure(self):
         l1 = L1DCache(small_cache_config(mshrs=1, miss_queue=8))
@@ -140,7 +140,7 @@ class TestL1DCache:
         l1.access(read(0), 0)
         blocked = read(1)
         assert l1.access(blocked, 0) == AccessResult.RSFAIL_MSHR
-        l1.fill(0)
+        l1.fill(0, 0)
         assert l1.access(blocked, 1) == AccessResult.MISS
 
     def test_write_is_wewn(self):
@@ -148,7 +148,7 @@ class TestL1DCache:
         line, consume only a miss-queue slot, and never use MSHRs."""
         l1 = L1DCache(small_cache_config(miss_queue=8))
         l1.access(read(0), 0)
-        l1.fill(0)
+        l1.fill(0, 0)
         assert l1.access(write(0), 1) == AccessResult.MISS
         assert len(l1.mshrs) == 0
         assert l1.access(read(0), 2) == AccessResult.MISS, "write evicted the line"

@@ -34,6 +34,18 @@ CASES = [
     # MIL caps that bind right as a full LSU drains a slot.
     ("smil-capped", ("cd", "sv"), (2, 6),
      {"mil": "smil", "smil_limits": (8, 8)}, {}),
+    # Memory-stall sleep (docs/PERF.md §9) under the benchmark cell's
+    # stack (QBMI+DMIL, Req/Minst hints = the profiles' reqs_per_minst),
+    # under global DMIL (one shared MILG set fed by SM 0), and under
+    # LRR, whose memo-held schedulers are charged per rotation; its
+    # bypassed loads return without an L1D fill, so they land while the
+    # SM sleeps on.
+    ("qbmi-dmil", ("cd", "sv"), (4, 4),
+     {"bmi": "qbmi", "mil": "dmil", "qbmi_init_req_per_minst": (6, 3)}, {}),
+    ("gdmil", ("cd", "sv"), (4, 4), {"mil": "gdmil"}, {}),
+    ("lrr-mem", ("st", "sv"), (4, 4),
+     {"mil": "dmil", "l1d_bypass": (True, False)},
+     {"scheduler_policy": "lrr"}),
 ]
 
 

@@ -19,8 +19,9 @@ class FakeBundle:
 
 
 class FakeSM:
-    # Hooks observed per-call below, so the LSU must not defer stall
-    # accounting (the real SM advertises inert hooks the same way).
+    # Hooks observed per-call below.  A bare LSU never defers stall
+    # replays (the real SM opts in through ``LoadStoreUnit._defer_ok``),
+    # so every stalled cycle reaches on_rsfail.
     _mem_hooks_inert = False
 
     def __init__(self, bypass=()):
@@ -89,7 +90,7 @@ class TestLSU:
         assert lsu.stall_cycles == 2
         assert len(lsu.queue) == 1, "stalled instruction stays at head"
         # free the MSHR -> replay succeeds
-        lsu.l1.fill(0)
+        lsu.l1.fill(0, 2)
         lsu.tick(2, sm)
         assert not lsu.queue
 
@@ -121,7 +122,7 @@ class TestLSU:
         lsu.enqueue(inst)
         lsu.tick(0, sm)
         assert not completions
-        waiters = lsu.l1.fill(0)
+        waiters = lsu.l1.fill(0, 0)
         for req in waiters:
             req.meminst.request_done(7)
         assert completions == [7]
@@ -132,7 +133,7 @@ class TestLSU:
         warm, _ = make_inst([0])
         lsu.enqueue(warm)
         lsu.tick(0, sm)
-        for req in lsu.l1.fill(0):
+        for req in lsu.l1.fill(0, 0):
             req.meminst.request_done(1)
         inst, completions = make_inst([0])
         lsu.enqueue(inst)

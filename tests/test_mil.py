@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.mil import MAX_LIMIT, MILG, DynamicLimiter, NoLimit, StaticLimiter
+from repro.core.mil import (MAX_LIMIT, MILG, DynamicLimiter, GlobalLimiterView,
+                            NoLimit, StaticLimiter)
 
 
 class TestMILG:
@@ -113,6 +114,44 @@ class TestDynamicLimiter:
         assert limit == 1
         assert dmil.can_issue(0, inflight=0)
         assert not dmil.can_issue(0, inflight=limit)
+
+
+class TestBatchedRsfails:
+    """The LSU pays a stretch of replayed stall cycles with one
+    ``note_rsfail(kernel, count)`` call; it must equal ``count`` calls."""
+
+    @staticmethod
+    def drive(limiter, batched):
+        history = []
+        for fails in (37, 3, 20):
+            limiter.observe_inflight(0, 9)
+            if batched:
+                limiter.note_rsfail(0, fails)
+            else:
+                for _ in range(fails):
+                    limiter.note_rsfail(0)
+            for _ in range(16):
+                limiter.note_request(0, 3)
+            history.append(limiter.limits())
+        return history
+
+    def test_dynamic_limiter_batch_equals_per_call(self):
+        # 37 >> 4 = 2 fails per request: 9 - 2; then a stall-free
+        # window probes back up; then 20 >> 4 = 1: 9 - 1.
+        expected = [[7, None], [8, None], [8, None]]
+        assert self.drive(DynamicLimiter(2, window=16), True) == expected
+        assert self.drive(DynamicLimiter(2, window=16), False) == expected
+
+    def test_global_view_feeds_only_from_the_monitor(self):
+        for is_monitor in (True, False):
+            shared = DynamicLimiter(2, window=16)
+            view = GlobalLimiterView(shared, is_monitor=is_monitor)
+            history = self.drive(view, True)
+            if is_monitor:
+                assert history == [[7, None], [8, None], [8, None]]
+            else:
+                assert history == [[None, None]] * 3
+            assert shared.limits() == history[-1]
 
 
 class TestNoLimit:
