@@ -28,9 +28,9 @@ Commands
     A mixes×schemes grid fanned out over worker processes, with
     optional live heartbeat telemetry, per-cell stall reports, phase
     sampling, and a per-cell run-artifact ledger under DIR.  Any of
-    ``--timeout/--retries/--resume/--fault-plan`` routes the grid
-    through the resilient executor (``repro.harness.resilience``):
-    hung or crashed cells are retried with backoff then quarantined,
+    ``--timeout/--retries/--resume/--fault-plan`` gives the grid a
+    failure policy (``repro.harness.resilience``): hung or crashed
+    cells are retried with backoff then quarantined,
     completed cells checkpoint to a journal under the cache dir, and
     ``--resume`` re-runs only the unfinished remainder.
 ``dash ARTIFACTS OUT.html [--title T]``
@@ -232,30 +232,27 @@ def cmd_campaign(args) -> int:
         from repro.obs import CampaignTelemetry
         telemetry = CampaignTelemetry()
     obs = args.obs or bool(args.phase_interval) or bool(args.artifacts)
-    report = None
+    from repro.harness.resilience import (Quarantined, ResiliencePolicy,
+                                          ResilienceReport)
+    policy = None
     if resilient:
-        from repro.harness.resilience import Quarantined, ResiliencePolicy
         policy = ResiliencePolicy(
             timeout_s=args.timeout,
             retries=args.retries if args.retries is not None else 2,
             backoff_s=args.backoff)
-        outcomes, report = runner.run_campaign_resilient(
-            mixes, schemes, policy=policy, workers=args.workers,
-            obs=obs, progress=telemetry,
-            phase_interval=args.phase_interval,
-            artifacts_dir=args.artifacts, resume=args.resume,
-            fault_plan=args.fault_plan)
-        quarantined = [o for o in outcomes if isinstance(o, Quarantined)]
-        outcomes = [o for o in outcomes if not isinstance(o, Quarantined)]
+    report = ResilienceReport()
+    outcomes = runner.run_campaign(
+        mixes, schemes, workers=args.workers, obs=obs, progress=telemetry,
+        phase_interval=args.phase_interval, artifacts_dir=args.artifacts,
+        policy=policy, resume=args.resume, fault_plan=args.fault_plan,
+        report=report)
+    quarantined = [o for o in outcomes if isinstance(o, Quarantined)]
+    outcomes = [o for o in outcomes if not isinstance(o, Quarantined)]
+    if resilient:
         print(report.summary(), file=sys.stderr)
-        for placeholder in quarantined:
-            print(f"  quarantined: {placeholder.label} "
-                  f"({', '.join(placeholder.faults)})", file=sys.stderr)
-    else:
-        outcomes = runner.run_campaign(mixes, schemes, workers=args.workers,
-                                       obs=obs, progress=telemetry,
-                                       phase_interval=args.phase_interval,
-                                       artifacts_dir=args.artifacts)
+    for placeholder in quarantined:
+        print(f"  quarantined: {placeholder.label} "
+              f"({', '.join(placeholder.faults)})", file=sys.stderr)
     if telemetry is not None:
         print(telemetry.summary(), file=sys.stderr)
     rows = [[o.mix_name, o.scheme, str(o.partition), o.weighted_speedup,
@@ -469,11 +466,11 @@ def main(argv=None) -> int:
                           metavar="S",
                           help="per-job wall-clock budget in seconds; a "
                                "worker past it is killed and the cell "
-                               "retried (enables the resilient executor)")
+                               "retried (enables the failure policy)")
     campaign.add_argument("--retries", type=int, default=None, metavar="N",
                           help="extra attempts per failed cell before "
                                "quarantine (default 2; enables the "
-                               "resilient executor)")
+                               "failure policy)")
     campaign.add_argument("--backoff", type=float, default=0.25,
                           metavar="S",
                           help="base retry backoff in seconds, doubled "

@@ -1,7 +1,8 @@
 """Experiment harness: cached isolated profiling, the scheme registry
 (spatial / leftover / WS / SMK × BMI / MIL / UCP), one driver per
-paper table/figure, and the resilient campaign executor (checkpoint
-journal, retry/quarantine, deterministic fault injection)."""
+paper table/figure, and the campaign executor with its robustness
+layer (checkpoint journal, retry/quarantine, deterministic fault
+injection)."""
 
 from repro.harness.runner import (
     ExperimentRunner,
@@ -25,8 +26,6 @@ from repro.harness.resilience import (
     Quarantined,
     ResiliencePolicy,
     ResilienceReport,
-    run_campaign_resilient,
-    run_jobs_resilient,
 )
 from repro.harness import experiments
 
@@ -49,6 +48,4 @@ __all__ = [
     "Quarantined",
     "ResiliencePolicy",
     "ResilienceReport",
-    "run_campaign_resilient",
-    "run_jobs_resilient",
 ]

@@ -198,25 +198,18 @@ def scheme_sweep(runner: ExperimentRunner, schemes: Sequence[str],
     to serial execution either way.
 
     ``policy`` (a :class:`~repro.harness.resilience.ResiliencePolicy`)
-    or ``resume=True`` routes the grid through the resilient executor:
-    crashed/hung cells are retried then quarantined instead of
-    stranding the sweep, completed cells checkpoint to the journal, and
-    ``resume`` re-runs only the unfinished remainder.  Quarantined
+    retries then quarantines crashed/hung cells instead of stranding
+    the sweep, and with ``resume`` checkpoints completed cells to the
+    journal and re-runs only the unfinished remainder.  Quarantined
     cells are simply absent from the sweep (their metrics never
     existed), so downstream geomeans stay well-defined."""
+    from repro.harness.resilience import Quarantined
     sweep = SchemeSweep(tuple(schemes))
-    if policy is not None or resume:
-        from repro.harness.resilience import Quarantined
-        outcomes, _report = runner.run_campaign_resilient(
-            list(workloads), list(schemes), policy=policy,
-            cycles=cycles, resume=resume)
-        for outcome in outcomes:
-            if not isinstance(outcome, Quarantined):
-                sweep.add(outcome)
-        return sweep
     for outcome in runner.run_campaign(list(workloads), list(schemes),
-                                       cycles=cycles):
-        sweep.add(outcome)
+                                       cycles=cycles, policy=policy,
+                                       resume=resume):
+        if not isinstance(outcome, Quarantined):
+            sweep.add(outcome)
     return sweep
 
 

@@ -1,11 +1,10 @@
-"""Parallel campaign executor: fan independent simulation jobs out
-over worker processes.
+"""The campaign executor: one worker pool for every batch of
+independent simulation jobs.
 
 Experiment campaigns in this repo are embarrassingly parallel — every
 isolated run, every scalability-curve point and every mix×scheme cell
 is an independent simulation.  This module describes each unit of work
-as a small picklable job dataclass and executes a batch of them on a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+as a small picklable job dataclass:
 
 * ``IsoJob``   — one kernel alone at one TB count (normalisation runs);
 * ``CurveJob`` — one kernel's full scalability curve (Warped-Slicer
@@ -15,28 +14,52 @@ as a small picklable job dataclass and executes a batch of them on a
 Jobs reference kernels by their short profile names so they pickle in
 a few bytes; each worker process rebuilds a private
 :class:`~repro.harness.runner.ExperimentRunner` from the parent's
-config/settings and can additionally be pre-seeded with already-known
-isolated records and curves so it never re-derives shared inputs.
+config/settings, pre-seeded with the parent's isolated records and
+curves so it never re-derives shared inputs.
 
-Duplicate jobs within a batch are executed once (results are fanned
-back out to every requesting position), results of ``IsoJob`` /
-``CurveJob`` are installed into the parent runner's in-memory caches,
-and the shared on-disk cache (``.repro_cache``) is written atomically
-(temp file + ``os.replace`` — see ``runner.py``) so concurrent workers
-cannot corrupt records.  When multiprocessing is unavailable — or
-``workers <= 1`` — the batch degrades gracefully to an in-process
-serial loop with identical results.
+:func:`run_jobs` runs every batch the same way.  Duplicate jobs run
+once; jobs the parent runner already has cached are answered (and
+heartbeated) up front; the rest run on the worker pool — one
+sacrificial process per worker, each with a private duplex pipe — or
+in-process, and the results come back in input order, bit-identical
+either way.  ``IsoJob`` / ``CurveJob`` results are installed into the
+parent runner's caches, and the shared on-disk cache (``.repro_cache``)
+is written atomically (temp file + ``os.replace`` — see ``runner.py``)
+so concurrent workers cannot corrupt records.
+
+Pool size, one rule (:func:`pool_size`): ``min(requested, pending,
+os.cpu_count())`` processes, where ``requested`` is ``workers`` (else
+``$REPRO_BENCH_WORKERS``, else the CPU count) and ``pending`` counts
+the uncached jobs — more processes than cores only add overhead to
+CPU-bound jobs.  A size of 1 runs the batch in-process, unless the
+batch has a timeout: preempting a cell needs a process to kill, so a
+timed batch always gets at least one worker.  A host without usable
+multiprocessing runs every batch in-process.
+
+A :class:`~repro.harness.resilience.ResiliencePolicy` adds per-attempt
+timeouts, retries with backoff and quarantine; without one, the first
+failure raises :class:`~repro.harness.resilience.JobError`.  A
+:class:`~repro.harness.resilience.CampaignJournal` checkpoints every
+finished cell for ``resume`` (see docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cke.warped_slicer import ScalabilityCurve
+from repro.harness.resilience import (CampaignJournal, FaultPlan, JobError,
+                                      Quarantined, ResiliencePolicy,
+                                      ResilienceReport, Unpicklable,
+                                      default_journal_path,
+                                      exported_fault_plan, job_key)
 from repro.harness.runner import (ExperimentRunner, IsoRecord,
                                   RunnerSettings, WorkloadOutcome)
 from repro.obs.telemetry import JobHeartbeat
@@ -45,6 +68,15 @@ from repro.workloads.profiles import get_profile
 
 #: environment override for the default worker count.
 WORKERS_ENV = "REPRO_BENCH_WORKERS"
+
+#: a batch without a policy: no timeout, no retry, and the first
+#: failure raises its JobError.
+NO_POLICY = ResiliencePolicy(retries=0, quarantine=False)
+
+#: errors starting the pool that mean this host cannot run worker
+#: processes; the batch then runs in-process.  A JobError is none of
+#: these, so a failing job is never mistaken for a missing pool.
+POOL_UNAVAILABLE = (OSError, ValueError, ImportError)
 
 
 # ----------------------------------------------------------------------
@@ -57,12 +89,20 @@ class IsoJob:
     tbs: Optional[int] = None
     cycles: Optional[int] = None
 
+    @property
+    def label(self) -> str:
+        return f"iso {self.kernel}" + (f" tbs={self.tbs}" if self.tbs else "")
+
 
 @dataclass(frozen=True)
 class CurveJob:
     """One kernel's full scalability curve (all TB counts)."""
 
     kernel: str
+
+    @property
+    def label(self) -> str:
+        return f"curve {self.kernel}"
 
 
 @dataclass(frozen=True)
@@ -86,39 +126,42 @@ class MixJob:
     obs: bool = False
     phase_interval: Optional[int] = None
 
+    @property
+    def label(self) -> str:
+        return f"mix {self.scheme} {'+'.join(self.kernels)}"
+
 
 Job = Union[IsoJob, CurveJob, MixJob]
 
 
-@dataclass(frozen=True)
-class PoolConfig:
-    """Worker-pool shape for one batch of jobs.
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """The requested worker count: ``workers``, else
+    ``$REPRO_BENCH_WORKERS``, else the CPU count (at least 1)."""
+    if workers is not None:
+        return max(1, workers)
+    env = os.environ.get(WORKERS_ENV)
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return os.cpu_count() or 1
 
-    ``workers=None`` resolves from ``$REPRO_BENCH_WORKERS`` or the CPU
-    count; ``workers<=1`` runs the batch serially in-process.
-    ``chunksize`` batches job dispatch to cut IPC overhead for large
-    campaigns of cheap jobs.
-    """
 
-    workers: Optional[int] = None
-    chunksize: int = 1
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                pass
-        return os.cpu_count() or 1
+def pool_size(workers: Optional[int], pending: int,
+              timeout_s: Optional[float]) -> int:
+    """Worker processes for a batch of ``pending`` uncached jobs; 0
+    runs it in-process.  See the module docstring for the rule."""
+    size = min(resolve_workers(workers), pending, os.cpu_count() or 1)
+    if size > 1:
+        return size
+    return 1 if timeout_s and pending else 0
 
 
 # ----------------------------------------------------------------------
 # worker-side execution
 _WORKER_RUNNER: Optional[ExperimentRunner] = None
-_WORKER_FAULT_PLAN = None
+_WORKER_FAULT_PLAN: Optional[FaultPlan] = None
 
 
 def _init_worker(config, settings: RunnerSettings, cache_dir: Optional[str],
@@ -135,54 +178,14 @@ def _init_worker(config, settings: RunnerSettings, cache_dir: Optional[str],
 
     Fault injection activates here too: when ``$REPRO_FAULT_PLAN``
     names a plan file (see :mod:`repro.harness.resilience`), the worker
-    loads it once at init and the resilient executor's worker loop
-    consults it around every job.  An unreadable plan is an init
-    error, never a silent fault-free run."""
+    loads it once at init and consults it around every job.  An
+    unreadable plan is an init error, never a silent fault-free run."""
     global _WORKER_RUNNER, _WORKER_FAULT_PLAN
     runner = ExperimentRunner(config, settings, cache_dir=cache_dir)
     runner._iso_cache.update(iso_seed)
     runner._curve_cache.update(curve_seed)
     _WORKER_RUNNER = runner
-    from repro.harness.resilience import FaultPlan
     _WORKER_FAULT_PLAN = FaultPlan.from_env()
-
-
-def _worker_fault_plan(load: bool = False):
-    """The fault plan this process loaded at ``_init_worker`` time.
-    ``load=True`` (the serial in-process path, where no worker init
-    ever runs) re-reads ``$REPRO_FAULT_PLAN`` fresh instead."""
-    if load:
-        from repro.harness.resilience import FaultPlan
-        return FaultPlan.from_env()
-    return _WORKER_FAULT_PLAN
-
-
-def _wrap_job_error(job: Job, exc: Exception):
-    """Re-raise ``exc`` as a picklable JobError carrying the full
-    formatted worker-side traceback — the bare exception the pool used
-    to ship home loses the stack in transit."""
-    from repro.harness.resilience import JobError
-    if isinstance(exc, JobError):
-        raise exc
-    raise JobError.from_exception(_job_label(job), exc) from None
-
-
-def _run_job_in_worker(job: Job):
-    try:
-        return execute_job(_WORKER_RUNNER, job)
-    except Exception as exc:
-        _wrap_job_error(job, exc)
-
-
-def _run_job_in_worker_timed(job: Job):
-    """Like :func:`_run_job_in_worker` but also reports the worker-side
-    wall-clock seconds, for campaign telemetry heartbeats."""
-    start = time.perf_counter()
-    try:
-        result = execute_job(_WORKER_RUNNER, job)
-    except Exception as exc:
-        _wrap_job_error(job, exc)
-    return result, time.perf_counter() - start
 
 
 def execute_job(runner: ExperimentRunner, job: Job):
@@ -199,6 +202,60 @@ def execute_job(runner: ExperimentRunner, job: Job):
             obs = ObsOptions(phase=True, phase_interval=job.phase_interval)
         return runner.run_mix(mix, job.scheme, cycles=job.cycles, obs=obs)
     raise TypeError(f"unknown job type {type(job).__name__}")
+
+
+def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job: Job,
+             in_worker: bool) -> Tuple[bool, object]:
+    """One attempt at ``job``, with the fault plan's faults around it:
+    ``(True, result)`` or ``(False, JobError)``."""
+    label = job.label
+    try:
+        if plan is not None:
+            plan.fire_pre(label, in_worker=in_worker)
+        result = execute_job(runner, job)
+        if plan is not None:
+            result = plan.mutate_result(label, result)
+            plan.fire_post(label)
+    except Exception as exc:
+        return False, (exc if isinstance(exc, JobError)
+                       else JobError.from_exception(label, exc))
+    return True, result
+
+
+def _worker_main(conn, *init_args) -> None:
+    """A pool worker: build the private runner, then answer each job
+    received on ``conn`` with one pickled ``(ok, seconds, payload)``
+    reply, until the ``None`` sentinel or a closed pipe.
+
+    The reply is pickled here, so an unpicklable result becomes a
+    :class:`JobError` the parent can charge to its cell.  Leaving
+    through the sentinel rather than a kill runs the process's exit
+    handlers."""
+    _init_worker(*init_args)
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            break
+        if job is None:
+            break
+        start = time.perf_counter()
+        ok, payload = _attempt(_WORKER_RUNNER, _WORKER_FAULT_PLAN, job,
+                               in_worker=True)
+        duration = time.perf_counter() - start
+        try:
+            blob = pickle.dumps((ok, duration, payload),
+                                protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            error = JobError(job.label, type(exc).__name__,
+                             f"result of {job.label!r} could not be pickled "
+                             f"across the process boundary: {exc}")
+            blob = pickle.dumps((False, duration, error),
+                                protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            conn.send_bytes(blob)
+        except OSError:
+            break
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +276,9 @@ def _absorb(runner: ExperimentRunner, job: Job, result) -> None:
 
 
 def _seed_payload(runner: ExperimentRunner):
-    """Everything the parent's in-memory caches hold, as initargs:
-    the workers install the entries under the parent's keys."""
+    """Everything the parent's in-memory caches hold, as worker init
+    arguments: the workers install the entries under the parent's
+    keys."""
     return list(runner._iso_cache.items()), list(runner._curve_cache.items())
 
 
@@ -233,8 +291,8 @@ ProgressFn = Callable[[JobHeartbeat], None]
 
 
 def _probe_cache(runner: ExperimentRunner, job: Job):
-    """The parent-side cached result for ``job``, or ``_CACHE_MISS``.
-    Used by the telemetry path to flag cache hits before dispatch."""
+    """The parent-side cached result for ``job``, or ``_CACHE_MISS``:
+    a hit is answered before dispatch."""
     if isinstance(job, IsoJob):
         tbs = job.tbs
         if tbs is None:
@@ -246,16 +304,6 @@ def _probe_cache(runner: ExperimentRunner, job: Job):
         key = runner._curve_key(get_profile(job.kernel))
         return runner._curve_cache.get(key, _CACHE_MISS)
     return _CACHE_MISS
-
-
-def _job_label(job: Job) -> str:
-    if isinstance(job, IsoJob):
-        return f"iso {job.kernel}" + (f" tbs={job.tbs}" if job.tbs else "")
-    if isinstance(job, CurveJob):
-        return f"curve {job.kernel}"
-    if isinstance(job, MixJob):
-        return f"mix {job.scheme} {'+'.join(job.kernels)}"
-    return repr(job)
 
 
 def _job_cycles(runner: ExperimentRunner, job: Job) -> int:
@@ -316,116 +364,366 @@ def _order_by_cost(pending: List[Job],
 
 
 # ----------------------------------------------------------------------
+# per-batch bookkeeping
+class _Batch:
+    """Parent-side state of one batch, shared by the pool and the
+    in-process loop: results, per-cell accounting, journal checkpoints,
+    heartbeats, and what the policy does with a failed attempt."""
+
+    def __init__(self, runner: ExperimentRunner, policy: ResiliencePolicy,
+                 report: ResilienceReport,
+                 journal: Optional[CampaignJournal],
+                 progress: Optional[ProgressFn], total: int):
+        self.runner = runner
+        self.policy = policy
+        self.report = report
+        self.journal = journal
+        self.progress = progress
+        self.total = total
+        self.done = 0
+        self.results: Dict[Job, object] = {}
+
+    def _beat(self, job: Job, duration: float, sim_cycles: int,
+              **fields) -> None:
+        if self.progress is not None:
+            self.progress(JobHeartbeat(
+                index=self.done, total=self.total, label=job.label,
+                duration_s=duration, sim_cycles=sim_cycles, **fields))
+
+    def _settle(self, job: Job, result) -> None:
+        self.results[job] = result
+        self.done += 1
+
+    def known(self, job: Job, result, resumed: bool) -> None:
+        """A result known before dispatch: a parent-side cache hit, or
+        a checkpoint replayed from the journal."""
+        self._settle(job, result)
+        if resumed:
+            self.report.cell(job).resumed = True
+        self._beat(job, 0.0, _job_cycles(self.runner, job), cache_hit=True,
+                   event="resumed" if resumed else "done")
+
+    def started(self, job: Job) -> None:
+        self.report.cell(job).attempts += 1
+
+    def succeeded(self, job: Job, result, duration: float,
+                  attempt: int) -> None:
+        self._settle(job, result)
+        if self.journal is not None:
+            self.journal.record_done(job, result)
+        self._beat(job, duration, _job_cycles(self.runner, job),
+                   attempt=attempt)
+
+    def failed(self, job: Job, attempt: int, fault: str, duration: float,
+               error: Optional[JobError] = None) -> Optional[float]:
+        """Charge failed attempt ``attempt`` to ``job``'s cell.  Returns
+        the backoff before the next attempt, or None once the cell is
+        quarantined; raises when the policy does not quarantine."""
+        cell = self.report.cell(job)
+        cell.faults.append(fault)
+        if attempt < self.policy.max_attempts:
+            self._beat(job, duration, 0, attempt=attempt, event="retry",
+                       fault=fault)
+            return self.policy.backoff_after(attempt)
+        if not self.policy.quarantine:
+            raise error if error is not None else JobError(
+                job.label, fault, f"cell {job.label!r} failed with "
+                                  f"{fault!r} after {attempt} attempts")
+        cell.quarantined = True
+        self._settle(job, Quarantined(job.label, tuple(cell.faults)))
+        if self.journal is not None:
+            self.journal.record_quarantine(job, cell.faults)
+        self._beat(job, duration, 0, attempt=attempt, event="quarantined",
+                   fault=fault)
+        return None
+
+
+# ----------------------------------------------------------------------
+# the worker pool
+class _Worker:
+    """One sacrificial worker process and its private duplex pipe."""
+
+    def __init__(self, ctx, init_args: Tuple):
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main,
+                                args=(child,) + init_args, daemon=True)
+        self.proc.start()
+        child.close()
+        #: (job, attempt, deadline | None) while running a job.
+        self.busy: Optional[Tuple[Job, int, Optional[float]]] = None
+
+    def stop(self) -> None:
+        """Ask the worker to leave through its sentinel."""
+        try:
+            self.conn.send(None)
+        except (OSError, ValueError):
+            pass
+
+    def reap(self, timeout: float) -> None:
+        """Wait for the worker to exit, killing it after ``timeout``."""
+        self.proc.join(timeout=timeout)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join(timeout=5.0)
+        self.conn.close()
+
+
+class _Pool:
+    """The worker processes of one batch, and the parent's dispatch
+    loop over them.  One job in flight per worker, on its private pipe,
+    so the parent always knows which worker owns which cell: a timeout
+    kills the right process, and a worker's death (its process sentinel
+    becomes ready) is charged to the cell it was running."""
+
+    def __init__(self, batch: _Batch, jobs: List[Job], size: int):
+        self.batch = batch
+        self.timeout_s = batch.policy.timeout_s
+        #: (job, attempt) ready to dispatch now, in dispatch order.
+        self.runnable = deque((job, 1) for job in jobs)
+        #: (eligible monotonic time, input position, job, attempt).
+        self.backoff: List[Tuple[float, int, Job, int]] = []
+        self.position = {job: i for i, job in enumerate(jobs)}
+        self.outstanding = len(jobs)
+        self.ctx = multiprocessing.get_context()
+        runner = batch.runner
+        self.init_args = ((runner.config, runner.settings, runner.cache_dir)
+                          + _seed_payload(runner))
+        self.workers: List[_Worker] = []
+        try:
+            for _ in range(size):
+                self.workers.append(_Worker(self.ctx, self.init_args))
+        except BaseException:
+            self.close()
+            raise
+
+    def run(self) -> None:
+        try:
+            while self.outstanding:
+                self._promote_backoff()
+                self._dispatch()
+                self._collect()
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        for worker in self.workers:
+            worker.stop()
+        for worker in self.workers:
+            worker.reap(timeout=2.0)
+
+    # ------------------------------------------------------------------
+    def _promote_backoff(self) -> None:
+        now = time.monotonic()
+        ready = [entry for entry in self.backoff if entry[0] <= now]
+        if ready:
+            self.backoff = [entry for entry in self.backoff
+                            if entry[0] > now]
+            # Retried cells re-enter the queue in input order.
+            for _when, _pos, job, attempt in sorted(ready,
+                                                    key=lambda e: e[1]):
+                self.runnable.append((job, attempt))
+
+    def _dispatch(self) -> None:
+        for index, worker in enumerate(self.workers):
+            if not self.runnable:
+                return
+            if worker.busy is not None:
+                continue
+            if not worker.proc.is_alive():
+                worker = self._respawn(index)
+            job, attempt = self.runnable.popleft()
+            try:
+                worker.conn.send(job)
+            except (OSError, ValueError):
+                # Broken pipe: the worker died idle; nothing ran.
+                self.runnable.appendleft((job, attempt))
+                self._respawn(index)
+                continue
+            self.batch.started(job)
+            worker.busy = (job, attempt, time.monotonic() + self.timeout_s
+                           if self.timeout_s else None)
+
+    def _respawn(self, index: int) -> _Worker:
+        old = self.workers[index]
+        old.proc.kill()
+        old.reap(timeout=5.0)
+        self.workers[index] = _Worker(self.ctx, self.init_args)
+        return self.workers[index]
+
+    # ------------------------------------------------------------------
+    def _wait_s(self) -> Optional[float]:
+        """How long the parent may block: until the nearest deadline or
+        backoff expiry, or indefinitely (None) when there is none."""
+        times = [w.busy[2] for w in self.workers
+                 if w.busy is not None and w.busy[2] is not None]
+        times += [entry[0] for entry in self.backoff]
+        if not times:
+            return None
+        return max(0.0, min(times) - time.monotonic())
+
+    def _collect(self) -> None:
+        busy = [(i, w) for i, w in enumerate(self.workers)
+                if w.busy is not None]
+        handles = [w.conn for _i, w in busy] + [w.proc.sentinel
+                                                for _i, w in busy]
+        timeout = self._wait_s()
+        if not handles:
+            time.sleep(timeout or 0.0)
+            return
+        ready = wait_ready(handles, timeout)
+        now = time.monotonic()
+        for index, worker in busy:
+            job, attempt, deadline = worker.busy
+            if worker.conn in ready:
+                try:
+                    blob = worker.conn.recv_bytes()
+                except (EOFError, OSError):
+                    self._crashed(index, "worker-crash", 0.0)
+                    continue
+                worker.busy = None
+                try:
+                    ok, duration, payload = pickle.loads(blob)
+                except Exception:
+                    self._settle_attempt(job, attempt, False, 0.0,
+                                         "garbled-result", None)
+                    continue
+                fault = None if ok else f"error:{payload.original_type}"
+                self._settle_attempt(job, attempt, ok, duration, fault,
+                                     payload)
+            elif worker.proc.sentinel in ready:
+                self._crashed(index, "worker-crash", 0.0)
+            elif deadline is not None and now > deadline:
+                self._crashed(index, "timeout", self.timeout_s or 0.0)
+
+    def _crashed(self, index: int, fault: str, duration: float) -> None:
+        """The busy worker at ``index`` died or overran its deadline:
+        replace it and charge the attempt to its cell."""
+        job, attempt, _deadline = self.workers[index].busy
+        self._respawn(index)
+        self._settle_attempt(job, attempt, False, duration, fault, None)
+
+    def _settle_attempt(self, job: Job, attempt: int, ok: bool,
+                        duration: float, fault: Optional[str],
+                        payload) -> None:
+        if ok:
+            self.batch.succeeded(job, payload, duration, attempt)
+            self.outstanding -= 1
+            return
+        error = payload if isinstance(payload, JobError) else None
+        delay = self.batch.failed(job, attempt, fault, duration, error)
+        if delay is None:
+            self.outstanding -= 1
+        else:
+            self.backoff.append((time.monotonic() + delay,
+                                 self.position[job], job, attempt + 1))
+
+
+def _run_serial(batch: _Batch, jobs: List[Job]) -> None:
+    """The in-process loop: retries, quarantine and ``raise`` /
+    ``unpicklable`` / ``corrupt`` faults apply as in the pool;
+    ``kill`` / ``hang`` faults need a sacrificial worker process and
+    are skipped (documented in docs/RESILIENCE.md)."""
+    plan = FaultPlan.from_env()
+    for job in jobs:
+        attempt = 1
+        while True:
+            batch.started(job)
+            start = time.perf_counter()
+            ok, payload = _attempt(batch.runner, plan, job, in_worker=False)
+            duration = time.perf_counter() - start
+            if ok and isinstance(payload, Unpicklable):
+                ok, payload = False, JobError(
+                    job.label, "TypeError",
+                    f"result of {job.label!r} could not be pickled "
+                    f"across the process boundary")
+            if ok:
+                batch.succeeded(job, payload, duration, attempt)
+                break
+            delay = batch.failed(job, attempt,
+                                 f"error:{payload.original_type}", duration,
+                                 payload)
+            if delay is None:
+                break
+            time.sleep(delay)
+            attempt += 1
+
+
+# ----------------------------------------------------------------------
 # batch execution
 def run_jobs(runner: ExperimentRunner, jobs: Sequence[Job],
-             workers: Optional[int] = None, chunksize: int = 1,
+             workers: Optional[int] = None,
              progress: Optional[ProgressFn] = None,
-             cost_hints: Optional[Dict[Tuple[str, str], float]] = None
-             ) -> List:
+             cost_hints: Optional[Dict[Tuple[str, str], float]] = None,
+             policy: Optional[ResiliencePolicy] = None,
+             journal: Optional[CampaignJournal] = None,
+             resume: bool = False,
+             fault_plan: Optional[str] = None,
+             report: Optional[ResilienceReport] = None) -> List:
     """Execute ``jobs`` and return their results in input order.
 
     Identical jobs are executed once.  ``IsoJob`` / ``CurveJob``
     results are installed into ``runner``'s in-memory caches (and, via
     the workers, the shared disk cache), so subsequent serial calls hit
-    the cache.  The pool is capped at the machine's CPU count (more
-    processes than cores only add overhead to CPU-bound jobs); it falls
-    back to an in-process serial loop when the pool is unavailable or
-    the cap resolves to 1.
+    the cache.  See the module docstring for the pool size.
 
     ``progress`` receives one :class:`JobHeartbeat` per finished unique
-    job, in completion order, from the dispatching thread; results are
-    unaffected by its presence.
+    job (cache hits first), in completion order, from the dispatching
+    thread; results are unaffected by its presence.  ``cost_hints``
+    (see :func:`ledger_cost_hints`) orders the *dispatch* of uncached
+    jobs longest-expected-first; the returned list stays in input
+    order, bit-identical with or without hints.
 
-    ``cost_hints`` (see :func:`ledger_cost_hints`) reorders the
-    *dispatch* of uncached jobs longest-expected-first; the returned
-    list stays in input order, bit-identical with or without hints.
+    ``policy`` governs failures (default :data:`NO_POLICY`); a
+    quarantined cell's result is a
+    :class:`~repro.harness.resilience.Quarantined` placeholder.
+    ``journal`` checkpoints every settled cell: ``resume=True`` replays
+    its verified checkpoints and runs only the remainder,
+    ``resume=False`` resets it.  ``fault_plan`` exports
+    ``$REPRO_FAULT_PLAN`` for the batch (chaos tests drive this).
+    ``report`` accumulates per-cell attempts, faults and resumes.
     """
-    pool_cfg = PoolConfig(workers=workers, chunksize=chunksize)
     unique: List[Job] = list(dict.fromkeys(jobs))
     if not unique:
         return []
-    results: Dict[Job, object] = {}
-    total = len(unique)
-    pending = unique
-    if progress is not None:
-        # Flag parent-side cache hits up front: they cost nothing, so
-        # heartbeat them immediately and dispatch only the real work.
-        pending = []
-        done = 0
-        for job in unique:
-            cached = _probe_cache(runner, job)
-            if cached is _CACHE_MISS:
-                pending.append(job)
-            else:
-                results[job] = cached
-                done += 1
-                progress(JobHeartbeat(
-                    index=done, total=total, label=_job_label(job),
-                    duration_s=0.0, sim_cycles=_job_cycles(runner, job),
-                    cache_hit=True))
-    if cost_hints and len(pending) > 1:
-        pending = _order_by_cost(list(pending), cost_hints)
-    # Cap the pool at the machine's CPU count: extra processes beyond
-    # that cannot run concurrently, so oversubscribing only adds spawn,
-    # pickle, and scheduling overhead to a CPU-bound campaign.
-    nworkers = (min(pool_cfg.resolved_workers(), len(pending),
-                    os.cpu_count() or 1)
-                if pending else 0)
-    pool_failed = False
-    if nworkers > 1:
-        try:
-            iso_seed, curve_seed = _seed_payload(runner)
-            with ProcessPoolExecutor(
-                    max_workers=nworkers,
-                    initializer=_init_worker,
-                    initargs=(runner.config, runner.settings,
-                              runner.cache_dir, iso_seed, curve_seed),
-            ) as pool:
-                if progress is None:
-                    for job, result in zip(
-                            pending,
-                            pool.map(_run_job_in_worker, pending,
-                                     chunksize=max(1, pool_cfg.chunksize))):
-                        results[job] = result
-                else:
-                    futures = {pool.submit(_run_job_in_worker_timed, job): job
-                               for job in pending}
-                    done = total - len(pending)
-                    not_done = set(futures)
-                    while not_done:
-                        finished, not_done = wait(
-                            not_done, return_when=FIRST_COMPLETED)
-                        for future in finished:
-                            job = futures[future]
-                            result, duration = future.result()
-                            results[job] = result
-                            done += 1
-                            progress(JobHeartbeat(
-                                index=done, total=total,
-                                label=_job_label(job), duration_s=duration,
-                                sim_cycles=_job_cycles(runner, job)))
-        except (OSError, ValueError, RuntimeError, ImportError):
-            # No usable multiprocessing here (restricted sandbox, dead
-            # workers, ...): degrade to the serial path below.
-            for job in pending:
-                results.pop(job, None)
-            pool_failed = True
-    if pool_failed or nworkers <= 1:
-        done = total - len(pending)
-        for job in pending:
-            if job in results:
-                continue
-            start = time.perf_counter()
-            results[job] = execute_job(runner, job)
-            if progress is not None:
-                done += 1
-                progress(JobHeartbeat(
-                    index=done, total=total, label=_job_label(job),
-                    duration_s=time.perf_counter() - start,
-                    sim_cycles=_job_cycles(runner, job)))
+    policy = policy or NO_POLICY
+    batch = _Batch(runner, policy,
+                   report if report is not None else ResilienceReport(),
+                   journal, progress, len(unique))
+    checkpoints: Dict[str, object] = {}
+    if journal is not None:
+        if resume:
+            checkpoints, _quarantined = journal.load()
+        else:
+            journal.reset()
+    pending: List[Job] = []
     for job in unique:
-        _absorb(runner, job, results[job])
-    return [results[job] for job in jobs]
+        key = job_key(job) if checkpoints else None
+        if key in checkpoints:
+            batch.known(job, checkpoints[key], resumed=True)
+            continue
+        cached = _probe_cache(runner, job)
+        if cached is _CACHE_MISS:
+            pending.append(job)
+        else:
+            batch.known(job, cached, resumed=False)
+    if cost_hints and len(pending) > 1:
+        pending = _order_by_cost(pending, cost_hints)
+    if pending:
+        with exported_fault_plan(fault_plan):
+            size = pool_size(workers, len(pending), policy.timeout_s)
+            try:
+                pool = _Pool(batch, pending, size) if size else None
+            except POOL_UNAVAILABLE:
+                pool = None  # no usable multiprocessing: run in-process
+            if pool is not None:
+                pool.run()
+            else:
+                _run_serial(batch, pending)
+    for job in unique:
+        result = batch.results[job]
+        if not isinstance(result, Quarantined):
+            _absorb(runner, job, result)
+    return [batch.results[job] for job in jobs]
 
 
 def campaign_jobs(mixes: Sequence[WorkloadMix], schemes: Sequence[str],
@@ -452,13 +750,17 @@ def prefetch_jobs(mixes: Sequence[WorkloadMix],
 
 def run_campaign(runner: ExperimentRunner, mixes: Sequence[WorkloadMix],
                  schemes: Sequence[str], workers: Optional[int] = None,
-                 cycles: Optional[int] = None,
-                 chunksize: int = 1, obs: bool = False,
+                 cycles: Optional[int] = None, obs: bool = False,
                  progress: Optional[ProgressFn] = None,
                  phase_interval: Optional[int] = None,
-                 artifacts_dir: Optional[str] = None
+                 artifacts_dir: Optional[str] = None,
+                 policy: Optional[ResiliencePolicy] = None,
+                 journal_path: Optional[str] = None,
+                 resume: bool = False,
+                 fault_plan: Optional[str] = None,
+                 report: Optional[ResilienceReport] = None
                  ) -> List[WorkloadOutcome]:
-    """Run the full mixes×schemes grid, in parallel, in two phases.
+    """Run the full mixes×schemes grid in two phases.
 
     Phase 1 computes the shared inputs (isolated runs, curves) once and
     installs them everywhere; phase 2 fans the grid cells out, each
@@ -470,30 +772,65 @@ def run_campaign(runner: ExperimentRunner, mixes: Sequence[WorkloadMix],
     the phase sampler in every cell; ``progress`` receives live
     :class:`JobHeartbeat` telemetry from both phases.
 
+    ``policy``, ``fault_plan`` and ``report`` pass to :func:`run_jobs`.
+    A campaign with a policy, or one that resumes, keeps a checkpoint
+    journal at ``journal_path`` (default: under the runner's cache
+    dir; no cache dir means no journal); ``resume=True`` replays it and
+    re-runs only unfinished / quarantined cells, which come back as
+    :class:`~repro.harness.resilience.Quarantined` placeholders.
+
     ``artifacts_dir`` makes the parent emit one run-artifact JSON per
-    cell (plus the ``ledger.json`` index) after all workers return —
-    workers only ship picklable reports back, the ledger write happens
-    in exactly one process.  When the directory already holds artifacts
-    from a prior campaign, their per-cell costs order this one's
-    dispatch longest-first (:func:`ledger_cost_hints`) — results are
-    unaffected, only worker packing.
+    completed cell (plus the ``ledger.json`` index) after all workers
+    return — workers only ship picklable reports back, the ledger write
+    happens in exactly one process.  Cells that degraded carry their
+    resume/retry provenance, and a campaign with a policy or journal
+    adds a degradation block to the index.  When the directory already
+    holds artifacts from a prior campaign, their per-cell costs order
+    this one's dispatch longest-first (:func:`ledger_cost_hints`) —
+    results are unaffected, only worker packing.
     """
-    run_jobs(runner, prefetch_jobs(mixes, schemes), workers=workers,
-             chunksize=chunksize, progress=progress)
+    if journal_path is None and (policy is not None or resume):
+        journal_path = default_journal_path(runner)
+    if resume and journal_path is None:
+        raise ValueError(
+            "--resume needs a checkpoint journal: give the runner a "
+            "cache dir or pass journal_path explicitly")
+    journal = CampaignJournal(journal_path) if journal_path else None
+    report = report if report is not None else ResilienceReport()
+    common = dict(workers=workers, progress=progress, policy=policy,
+                  journal=journal, fault_plan=fault_plan, report=report)
+    run_jobs(runner, prefetch_jobs(mixes, schemes), resume=resume, **common)
     cost_hints = None
     if artifacts_dir and os.path.isdir(artifacts_dir):
         cost_hints = ledger_cost_hints(artifacts_dir)
-    outcomes = run_jobs(
-        runner,
-        campaign_jobs(mixes, schemes, cycles, obs=obs,
-                      phase_interval=phase_interval),
-        workers=workers, chunksize=chunksize, progress=progress,
-        cost_hints=cost_hints)
+    cells = campaign_jobs(mixes, schemes, cycles, obs=obs,
+                          phase_interval=phase_interval)
+    # Phase 1 reset the journal (unless resuming); phase 2 extends it.
+    outcomes = run_jobs(runner, cells, cost_hints=cost_hints, resume=True,
+                        **common)
     if artifacts_dir:
         from repro.obs import ledger
         sha = ledger.current_git_sha()
-        ledger.write_artifacts(artifacts_dir, [
-            ledger.artifact_from_outcome(outcome, runner.config,
-                                         runner.settings, git_sha=sha)
-            for outcome in outcomes])
+        artifacts = []
+        for job, outcome in zip(cells, outcomes):
+            if isinstance(outcome, Quarantined):
+                continue
+            cell = report.cells.get(job_key(job))
+            provenance = None
+            if cell is not None and (cell.resumed or cell.attempts > 1
+                                     or cell.faults):
+                provenance = {"attempts": cell.attempts,
+                              "resumed": cell.resumed,
+                              "faults": list(cell.faults)}
+            artifacts.append(ledger.artifact_from_outcome(
+                outcome, runner.config, runner.settings, git_sha=sha,
+                provenance=provenance))
+        campaign = None
+        if policy is not None or journal is not None:
+            campaign = {"retries": report.retries,
+                        "quarantined": report.quarantined,
+                        "resumed": report.resumed,
+                        "journal": (os.path.basename(journal_path)
+                                    if journal_path else None)}
+        ledger.write_artifacts(artifacts_dir, artifacts, campaign=campaign)
     return outcomes

@@ -1,28 +1,30 @@
-"""Resilient campaign execution: timeouts, retries, quarantine, a
-checkpoint journal and deterministic fault injection.
+"""The robustness layer of the campaign executor: failure policy,
+per-cell accounting, a checkpoint journal and deterministic fault
+injection.
 
-The plain executor (:mod:`repro.harness.parallel`) assumes every worker
-finishes cleanly — one crashed or hung process strands the whole
-parameter sweep.  This module wraps the same job model in a robustness
-layer, in the shape shared-environment schedulers treat as table
-stakes: worker failure, stragglers and partial results are expected
-events, not campaign aborts.
+The executor itself (:func:`repro.harness.parallel.run_jobs`, one
+worker pool and one in-process loop) runs every batch; this module
+holds what it consults when a worker crashes, hangs or fails, in the
+shape shared-environment schedulers treat as table stakes: worker
+failure, stragglers and partial results are expected events, not
+campaign aborts.
 
 * :class:`ResiliencePolicy` — per-job wall-clock timeout, retry count
   with exponential backoff, and quarantine-instead-of-abort once the
-  retry budget is exhausted.
-* :func:`run_jobs_resilient` — a self-managed worker pool (one task
-  pipe per worker, a shared result queue) that detects dead workers,
-  kills and respawns hung ones, retries failed cells with backoff and
-  returns a :class:`ResilienceReport` of the degradation alongside the
-  results.  Results stay bit-identical to a fault-free run: a retry
-  re-executes the same deterministic simulation.
+  retry budget is exhausted.  A batch without one runs under
+  ``parallel.NO_POLICY``: the first failure raises.
+* :class:`ResilienceReport` — per-cell attempts, faults, resumes and
+  quarantines of a batch, supplied by the caller.  Results stay
+  bit-identical to a fault-free run: a retry re-executes the same
+  deterministic simulation.
 * :class:`CampaignJournal` — an append-only, atomic, versioned
   checkpoint journal under the harness cache dir.  Every completed
   cell's pickled result rides in the journal with a SHA-256
-  fingerprint; ``repro campaign --resume`` replays verified entries
-  and re-runs only unfinished / quarantined / corrupted cells, yielding
-  a merged report bit-identical to an uninterrupted campaign.
+  fingerprint, keyed by :func:`job_key` (the job's fields plus the
+  content of every profile it names); ``repro campaign --resume``
+  replays verified entries and re-runs only unfinished / quarantined /
+  corrupted cells, yielding a merged report bit-identical to an
+  uninterrupted campaign.
 * :class:`FaultPlan` — a seeded, deterministic fault-injection
   schedule (worker kills, injected hangs, poisoned cells, unpicklable
   results, cache/journal corruption), activated in worker processes
@@ -32,8 +34,7 @@ events, not campaign aborts.
   script "kill the worker on this cell, once" and know the retry will
   succeed.
 * :class:`JobError` — a picklable failure that carries the worker's
-  full formatted traceback across the process boundary (the bare
-  exception repr the pool used to surface loses the stack).
+  full formatted traceback across the process boundary.
 
 See docs/RESILIENCE.md for the journal schema and FaultPlan format.
 """
@@ -45,19 +46,17 @@ import fnmatch
 import glob as globmod
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
-import queue as queuemod
 import signal
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.harness import parallel as _par
-from repro.harness.runner import CACHE_VERSION, ExperimentRunner
-from repro.obs.telemetry import JobHeartbeat
+from repro.harness.runner import CACHE_VERSION, ExperimentRunner, profile_key
+from repro.workloads.profiles import get_profile
 
 #: environment variable naming the active fault-plan JSON file.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -106,7 +105,7 @@ class FaultInjected(RuntimeError):
     """Raised by a ``raise``-kind fault (a deliberately poisoned cell)."""
 
 
-class _Unpicklable:
+class Unpicklable:
     """Result wrapper whose pickling always fails (fault injection)."""
 
     def __init__(self, inner):
@@ -266,7 +265,7 @@ class FaultPlan:
         cannot ship its answer home."""
         for spec in self._matching(label, ("unpicklable",)):
             if self._claim(spec):
-                return _Unpicklable(result)
+                return Unpicklable(result)
         return result
 
     def fire_post(self, label: str) -> None:
@@ -282,13 +281,46 @@ class FaultPlan:
                     fh.write("{corrupt")
 
 
+@contextmanager
+def exported_fault_plan(path: Optional[str]) -> Iterator[None]:
+    """Name ``path`` in ``$REPRO_FAULT_PLAN`` for the duration of the
+    block (workers started inside it load the plan); None leaves the
+    environment alone."""
+    if path is None:
+        yield
+        return
+    prior = os.environ.get(FAULT_PLAN_ENV)
+    os.environ[FAULT_PLAN_ENV] = path
+    try:
+        yield
+    finally:
+        if prior is None:
+            os.environ.pop(FAULT_PLAN_ENV, None)
+        else:
+            os.environ[FAULT_PLAN_ENV] = prior
+
+
 # ----------------------------------------------------------------------
 # the checkpoint journal
 def job_key(job) -> str:
-    """Stable identity of one job.  Frozen dataclasses of str/int/bool
-    fields repr deterministically, and the repr carries every field
-    that affects the simulated result (kernels, scheme, cycles, obs)."""
-    return f"{type(job).__name__}:{job!r}"
+    """Stable identity of one job: its fields (frozen dataclasses of
+    str/int/bool repr deterministically: kernels, scheme, cycles, obs)
+    plus a digest of the content of every profile it names
+    (``runner.profile_key``), so a profile changed under the same name
+    is a different job and never replays another's checkpoint.  A
+    profile whose content cannot be keyed contributes its repr, whose
+    pattern-factory address differs between processes; an unknown name
+    contributes nothing (the job fails on it anyway)."""
+    content = []
+    for name in getattr(job, "kernels", None) or (job.kernel,):
+        try:
+            profile = get_profile(name)
+        except KeyError:
+            content.append(None)
+            continue
+        content.append(profile_key(profile) or repr(profile))
+    digest = hashlib.sha256(repr(content).encode()).hexdigest()[:16]
+    return f"{type(job).__name__}:{job!r}:{digest}"
 
 
 def journal_key(runner: ExperimentRunner) -> str:
@@ -354,7 +386,7 @@ class CampaignJournal:
             "v": JOURNAL_VERSION,
             "kind": "done",
             "key": job_key(job),
-            "label": _par._job_label(job),
+            "label": job.label,
             "sha": hashlib.sha256(blob).hexdigest(),
             "blob": base64.b64encode(blob).decode("ascii"),
         })
@@ -364,7 +396,7 @@ class CampaignJournal:
             "v": JOURNAL_VERSION,
             "kind": "quarantine",
             "key": job_key(job),
-            "label": _par._job_label(job),
+            "label": job.label,
             "faults": list(faults),
         })
 
@@ -421,14 +453,14 @@ class CampaignJournal:
 # policy and per-cell accounting
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Retry/timeout/quarantine behaviour of one resilient batch.
+    """Retry/timeout/quarantine behaviour of one batch.
 
     ``timeout_s`` is the per-attempt wall-clock budget (None disables
     preemption); a cell gets ``retries`` extra attempts after its
     first, sleeping ``backoff_s * backoff_factor**(attempt-1)`` between
     them; once the budget is gone the cell is quarantined (campaign
     continues) unless ``quarantine`` is False (the first exhausted cell
-    re-raises and aborts the batch, pre-PR behaviour).
+    re-raises and aborts the batch, as a batch without a policy does).
     """
 
     timeout_s: Optional[float] = None
@@ -467,7 +499,7 @@ class CellReport:
 
 
 class ResilienceReport:
-    """What the resilient executor had to absorb for one batch.
+    """What the executor had to absorb for one batch.
 
     A plain class with per-instance state: the report is built
     parent-side and handed back to the caller, never shared through
@@ -480,7 +512,7 @@ class ResilienceReport:
     def cell(self, job) -> CellReport:
         key = job_key(job)
         if key not in self.cells:
-            self.cells[key] = CellReport(label=_par._job_label(job))
+            self.cells[key] = CellReport(label=job.label)
         return self.cells[key]
 
     @property
@@ -511,575 +543,3 @@ class ResilienceReport:
             bits.append(f"{len(quarantined)} quarantined "
                         f"({', '.join(quarantined)})")
         return "resilience: " + ", ".join(bits)
-
-
-# ----------------------------------------------------------------------
-# the resilient worker pool
-def _resilient_worker_main(worker_id: int, conn, result_q, config, settings,
-                           cache_dir, iso_seed, curve_seed) -> None:
-    """Worker loop: receive ``(seq, job)`` on the private pipe, execute,
-    ship ``(worker_id, blob)`` on the shared result queue.
-
-    The payload is pre-pickled *in the worker*: an unpicklable result
-    is detected here and converted into a :class:`JobError`, instead of
-    dying inside the queue's feeder thread where the parent would only
-    see silence (and misread it as a hang)."""
-    _par._init_worker(config, settings, cache_dir, iso_seed, curve_seed)
-    plan = _par._worker_fault_plan()
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg is None:
-            break
-        seq, job = msg
-        label = _par._job_label(job)
-        start = time.perf_counter()
-        try:
-            if plan is not None:
-                plan.fire_pre(label)
-            result = _par.execute_job(_par._WORKER_RUNNER, job)
-            if plan is not None:
-                result = plan.mutate_result(label, result)
-                plan.fire_post(label)
-            payload = ("ok", seq, time.perf_counter() - start, result)
-        except Exception as exc:
-            err = (exc if isinstance(exc, JobError)
-                   else JobError.from_exception(label, exc))
-            payload = ("err", seq, time.perf_counter() - start, err)
-        try:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            err = JobError(label, type(exc).__name__,
-                           f"result of {label!r} could not be pickled "
-                           f"across the process boundary: {exc}")
-            blob = pickle.dumps(("err", seq, time.perf_counter() - start,
-                                 err), protocol=pickle.HIGHEST_PROTOCOL)
-        result_q.put((worker_id, blob))
-
-
-class _Worker:
-    """One sacrificial worker process plus its private task pipe."""
-
-    def __init__(self, ctx, worker_id: int, init_payload, result_q):
-        self.id = worker_id
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        self.conn = send_conn
-        self.proc = ctx.Process(
-            target=_resilient_worker_main,
-            args=(worker_id, recv_conn, result_q) + tuple(init_payload),
-            daemon=True)
-        self.proc.start()
-        recv_conn.close()
-        #: (seq, job, attempt, deadline | None) while busy.
-        self.busy: Optional[Tuple[int, object, int, Optional[float]]] = None
-
-    def dispatch(self, seq: int, job, attempt: int,
-                 deadline: Optional[float]) -> bool:
-        try:
-            self.conn.send((seq, job))
-        except (OSError, ValueError):
-            return False
-        self.busy = (seq, job, attempt, deadline)
-        return True
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except (OSError, AttributeError):  # pragma: no cover - defensive
-            try:
-                self.proc.terminate()
-            except OSError:
-                pass
-        self.proc.join(timeout=5.0)
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
-        except (OSError, ValueError):
-            pass
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():
-            self.kill()
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-class _ResilientDispatch:
-    """Parent-side state machine for one resilient batch."""
-
-    #: result-queue poll granularity; also bounds how late a timeout
-    #: can be noticed.  Jobs here take >= tens of milliseconds, so a
-    #: 50 ms tick costs nothing measurable.
-    POLL_S = 0.05
-
-    def __init__(self, runner: ExperimentRunner, pending: List,
-                 policy: ResiliencePolicy, nworkers: int,
-                 report: ResilienceReport, journal: Optional[CampaignJournal],
-                 progress, done_offset: int, total: int):
-        self.runner = runner
-        self.policy = policy
-        self.report = report
-        self.journal = journal
-        self.progress = progress
-        self.total = total
-        self.done = done_offset
-        self.results: Dict[object, object] = {}
-        self.jobs = list(pending)
-        #: FIFO of (seq, attempt) ready to dispatch now.
-        self.runnable: List[Tuple[int, int]] = [
-            (seq, 1) for seq in range(len(self.jobs))]
-        #: (eligible_monotonic, seq, attempt) sleeping out a backoff.
-        self.backoff: List[Tuple[float, int, int]] = []
-        self.outstanding = len(self.jobs)
-        self.ctx = multiprocessing.get_context()
-        self.result_q = self.ctx.Queue()
-        self.init_payload = (runner.config, runner.settings,
-                             runner.cache_dir) + _par._seed_payload(runner)
-        self.workers = [_Worker(self.ctx, wid, self.init_payload,
-                                self.result_q)
-                        for wid in range(nworkers)]
-        self._next_wid = nworkers
-
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[object, object]:
-        try:
-            while self.outstanding:
-                self._promote_backoff()
-                self._dispatch_ready()
-                self._drain_results()
-                self._reap_dead_and_timed_out()
-        finally:
-            for worker in self.workers:
-                worker.shutdown()
-            self.result_q.close()
-        return self.results
-
-    # ------------------------------------------------------------------
-    def _promote_backoff(self) -> None:
-        if not self.backoff:
-            return
-        now = time.monotonic()
-        ready = [entry for entry in self.backoff if entry[0] <= now]
-        if ready:
-            self.backoff = [e for e in self.backoff if e[0] > now]
-            # Deterministic order: by seq, so retried cells re-enter
-            # the queue in input order.
-            for _when, seq, attempt in sorted(ready, key=lambda e: e[1]):
-                self.runnable.append((seq, attempt))
-
-    def _dispatch_ready(self) -> None:
-        for worker in self.workers:
-            if not self.runnable:
-                return
-            if worker.busy is not None:
-                continue
-            if not worker.alive():
-                self._respawn(worker)
-                continue
-            seq, attempt = self.runnable.pop(0)
-            job = self.jobs[seq]
-            deadline = (time.monotonic() + self.policy.timeout_s
-                        if self.policy.timeout_s else None)
-            cell = self.report.cell(job)
-            cell.attempts += 1
-            if not worker.dispatch(seq, job, attempt, deadline):
-                # Broken pipe: treat as a crash of this attempt.
-                cell.attempts -= 1
-                self.runnable.insert(0, (seq, attempt))
-                self._respawn(worker)
-
-    def _respawn(self, worker: _Worker) -> None:
-        index = self.workers.index(worker)
-        worker.shutdown()
-        self.workers[index] = _Worker(self.ctx, self._next_wid,
-                                      self.init_payload, self.result_q)
-        self._next_wid += 1
-
-    # ------------------------------------------------------------------
-    def _wait_timeout(self) -> float:
-        timeout = self.POLL_S
-        now = time.monotonic()
-        for worker in self.workers:
-            if worker.busy and worker.busy[3] is not None:
-                timeout = min(timeout, max(0.0, worker.busy[3] - now))
-        for when, _seq, _attempt in self.backoff:
-            timeout = min(timeout, max(0.0, when - now))
-        return max(0.001, timeout)
-
-    def _drain_results(self) -> None:
-        try:
-            wid, blob = self.result_q.get(timeout=self._wait_timeout())
-        except queuemod.Empty:
-            return
-        while True:
-            self._handle_result(wid, blob)
-            try:
-                wid, blob = self.result_q.get_nowait()
-            except queuemod.Empty:
-                return
-
-    def _worker_by_id(self, wid: int) -> Optional[_Worker]:
-        for worker in self.workers:
-            if worker.id == wid:
-                return worker
-        return None
-
-    def _handle_result(self, wid: int, blob: bytes) -> None:
-        worker = self._worker_by_id(wid)
-        if worker is None or worker.busy is None:
-            return  # stale message from a worker already reaped
-        seq, job, attempt, _deadline = worker.busy
-        worker.busy = None
-        try:
-            status, got_seq, duration, payload = pickle.loads(blob)
-        except Exception:
-            self._attempt_failed(seq, attempt, "garbled-result", 0.0)
-            return
-        if got_seq != seq:  # pragma: no cover - protocol safety net
-            self._attempt_failed(seq, attempt, "desequenced-result", 0.0)
-            return
-        if status == "ok":
-            self._attempt_succeeded(seq, payload, duration, attempt)
-        else:
-            fault = f"error:{payload.original_type}" \
-                if isinstance(payload, JobError) else "error"
-            self._attempt_failed(seq, attempt, fault, duration,
-                                 error=payload)
-
-    def _reap_dead_and_timed_out(self) -> None:
-        now = time.monotonic()
-        for worker in self.workers:
-            if worker.busy is None:
-                if not worker.alive():
-                    self._respawn(worker)
-                continue
-            seq, job, attempt, deadline = worker.busy
-            if not worker.alive():
-                worker.busy = None
-                self._respawn(worker)
-                self._attempt_failed(seq, attempt, "worker-crash", 0.0)
-            elif deadline is not None and now > deadline:
-                worker.busy = None
-                worker.kill()
-                self._respawn(worker)
-                self._attempt_failed(seq, attempt, "timeout",
-                                     self.policy.timeout_s or 0.0)
-
-    # ------------------------------------------------------------------
-    def _attempt_succeeded(self, seq: int, result, duration: float,
-                           attempt: int) -> None:
-        job = self.jobs[seq]
-        if job in self.results:
-            return  # pragma: no cover - duplicate completion guard
-        self.results[job] = result
-        self.outstanding -= 1
-        self.done += 1
-        if self.journal is not None:
-            self.journal.record_done(job, result)
-        if self.progress is not None:
-            self.progress(JobHeartbeat(
-                index=self.done, total=self.total,
-                label=_par._job_label(job), duration_s=duration,
-                sim_cycles=_par._job_cycles(self.runner, job),
-                attempt=attempt))
-
-    def _attempt_failed(self, seq: int, attempt: int, fault: str,
-                        duration: float, error: Optional[JobError] = None
-                        ) -> None:
-        job = self.jobs[seq]
-        cell = self.report.cell(job)
-        cell.faults.append(fault)
-        label = _par._job_label(job)
-        if attempt < self.policy.max_attempts:
-            eligible = time.monotonic() + self.policy.backoff_after(attempt)
-            self.backoff.append((eligible, seq, attempt + 1))
-            if self.progress is not None:
-                self.progress(JobHeartbeat(
-                    index=self.done, total=self.total, label=label,
-                    duration_s=duration, sim_cycles=0,
-                    attempt=attempt, event="retry", fault=fault))
-            return
-        # Retry budget exhausted.
-        if not self.policy.quarantine:
-            raise error if error is not None else JobError(
-                label, fault, f"cell {label!r} failed with {fault!r} "
-                              f"after {attempt} attempts")
-        cell.quarantined = True
-        self.results[job] = Quarantined(label, tuple(cell.faults))
-        self.outstanding -= 1
-        self.done += 1
-        if self.journal is not None:
-            self.journal.record_quarantine(job, cell.faults)
-        if self.progress is not None:
-            self.progress(JobHeartbeat(
-                index=self.done, total=self.total, label=label,
-                duration_s=duration, sim_cycles=0,
-                attempt=attempt, event="quarantined", fault=fault))
-
-
-# ----------------------------------------------------------------------
-# serial fallback
-def _run_serial_resilient(runner: ExperimentRunner, pending: List,
-                          policy: ResiliencePolicy,
-                          report: ResilienceReport,
-                          journal: Optional[CampaignJournal],
-                          progress, done_offset: int, total: int
-                          ) -> Dict[object, object]:
-    """In-process fallback: retries, quarantine and ``raise`` /
-    ``unpicklable`` / ``corrupt`` faults still apply; preemptive
-    timeouts and ``kill`` / ``hang`` faults need a sacrificial worker
-    process and are skipped (documented in docs/RESILIENCE.md)."""
-    plan = _par._worker_fault_plan(load=True)
-    results: Dict[object, object] = {}
-    done = done_offset
-    for job in pending:
-        label = _par._job_label(job)
-        cell = report.cell(job)
-        result = None
-        for attempt in range(1, policy.max_attempts + 1):
-            cell.attempts += 1
-            start = time.perf_counter()
-            try:
-                if plan is not None:
-                    plan.fire_pre(label, in_worker=False)
-                result = _par.execute_job(runner, job)
-                if plan is not None:
-                    result = plan.mutate_result(label, result)
-                    plan.fire_post(label)
-                if isinstance(result, _Unpicklable):
-                    raise JobError(label, "TypeError",
-                                   f"result of {label!r} could not be "
-                                   f"pickled across the process boundary")
-            except Exception as exc:
-                error = (exc if isinstance(exc, JobError)
-                         else JobError.from_exception(label, exc))
-                fault = f"error:{error.original_type}"
-                cell.faults.append(fault)
-                duration = time.perf_counter() - start
-                if attempt < policy.max_attempts:
-                    if progress is not None:
-                        progress(JobHeartbeat(
-                            index=done, total=total, label=label,
-                            duration_s=duration, sim_cycles=0,
-                            attempt=attempt, event="retry", fault=fault))
-                    time.sleep(policy.backoff_after(attempt))
-                    continue
-                if not policy.quarantine:
-                    raise error from None
-                cell.quarantined = True
-                results[job] = Quarantined(label, tuple(cell.faults))
-                done += 1
-                if journal is not None:
-                    journal.record_quarantine(job, cell.faults)
-                if progress is not None:
-                    progress(JobHeartbeat(
-                        index=done, total=total, label=label,
-                        duration_s=duration, sim_cycles=0,
-                        attempt=attempt, event="quarantined", fault=fault))
-                break
-            else:
-                results[job] = result
-                done += 1
-                if journal is not None:
-                    journal.record_done(job, result)
-                if progress is not None:
-                    progress(JobHeartbeat(
-                        index=done, total=total, label=label,
-                        duration_s=time.perf_counter() - start,
-                        sim_cycles=_par._job_cycles(runner, job),
-                        attempt=attempt))
-                break
-    return results
-
-
-# ----------------------------------------------------------------------
-# batch + campaign entry points
-def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
-                       policy: Optional[ResiliencePolicy] = None,
-                       workers: Optional[int] = None,
-                       progress=None,
-                       journal: Optional[CampaignJournal] = None,
-                       resume: bool = False,
-                       fault_plan: Optional[str] = None,
-                       report: Optional[ResilienceReport] = None
-                       ) -> Tuple[List, ResilienceReport]:
-    """Execute ``jobs`` under ``policy``; returns ``(results, report)``
-    with results in input order (quarantined cells yield
-    :class:`Quarantined` placeholders).
-
-    Semantics mirror :func:`repro.harness.parallel.run_jobs` — dedup,
-    input-order results, Iso/Curve cache absorption — plus the
-    robustness layer: per-attempt timeouts, retry with exponential
-    backoff, dead-worker respawn, quarantine, and (when ``journal`` is
-    given) checkpointing of every completed cell.  ``resume=True``
-    replays the journal's verified checkpoints and re-runs only the
-    unfinished/quarantined remainder; ``resume=False`` resets it.
-    ``fault_plan`` exports ``$REPRO_FAULT_PLAN`` to the workers for the
-    duration of the batch (chaos tests drive this).
-    """
-    policy = policy or ResiliencePolicy()
-    report = report if report is not None else ResilienceReport()
-    unique: List = list(dict.fromkeys(jobs))
-    results: Dict[object, object] = {}
-    if not unique:
-        return [], report
-    total = len(unique)
-    pending = unique
-    checkpoints: Dict[str, object] = {}
-    if journal is not None:
-        if resume:
-            checkpoints, _quarantined = journal.load()
-        else:
-            journal.reset()
-    done = 0
-    if checkpoints:
-        pending = []
-        for job in unique:
-            payload = checkpoints.get(job_key(job))
-            if payload is None:
-                pending.append(job)
-                continue
-            results[job] = payload
-            cell = report.cell(job)
-            cell.resumed = True
-            done += 1
-            if progress is not None:
-                progress(JobHeartbeat(
-                    index=done, total=total, label=_par._job_label(job),
-                    duration_s=0.0,
-                    sim_cycles=_par._job_cycles(runner, job),
-                    cache_hit=True, event="resumed"))
-    plan_env_set = False
-    prior_plan = os.environ.get(FAULT_PLAN_ENV)
-    if fault_plan is not None:
-        os.environ[FAULT_PLAN_ENV] = fault_plan
-        plan_env_set = True
-    try:
-        # Unlike run_jobs, no CPU-count cap: resilient workers exist
-        # for fault *isolation* (a sacrificial process to kill or
-        # preempt), not just throughput, so an explicit workers=N must
-        # spawn real processes even on a single-core host — they
-        # timeshare, results are identical, and timeouts/kills work.
-        # The pending-count clamp only avoids idle processes; whether
-        # to use the pool at all follows the *requested* parallelism
-        # (a single pending cell under workers=2 still needs a
-        # sacrificial worker, or its timeout could never preempt).
-        resolved = _par.PoolConfig(workers=workers).resolved_workers()
-        nworkers = min(resolved, len(pending)) if pending else 0
-        executed: Dict[object, object] = {}
-        if pending:
-            if resolved > 1:
-                try:
-                    dispatch = _ResilientDispatch(
-                        runner, pending, policy, nworkers, report,
-                        journal, progress, done, total)
-                    executed = dispatch.run()
-                except (OSError, ValueError, ImportError):
-                    # No usable multiprocessing here: degrade to the
-                    # in-process loop (same results, fewer guarantees).
-                    executed = _run_serial_resilient(
-                        runner, pending, policy, report, journal,
-                        progress, done, total)
-            else:
-                executed = _run_serial_resilient(
-                    runner, pending, policy, report, journal, progress,
-                    done, total)
-        results.update(executed)
-    finally:
-        if plan_env_set:
-            if prior_plan is None:
-                os.environ.pop(FAULT_PLAN_ENV, None)
-            else:
-                os.environ[FAULT_PLAN_ENV] = prior_plan
-    for job in unique:
-        result = results[job]
-        if not isinstance(result, Quarantined):
-            _par._absorb(runner, job, result)
-    return [results[job] for job in jobs], report
-
-
-def run_campaign_resilient(runner: ExperimentRunner,
-                           mixes: Sequence, schemes: Sequence[str],
-                           policy: Optional[ResiliencePolicy] = None,
-                           workers: Optional[int] = None,
-                           cycles: Optional[int] = None,
-                           obs: bool = False,
-                           progress=None,
-                           phase_interval: Optional[int] = None,
-                           artifacts_dir: Optional[str] = None,
-                           journal_path: Optional[str] = None,
-                           resume: bool = False,
-                           fault_plan: Optional[str] = None):
-    """The resilient analogue of
-    :func:`repro.harness.parallel.run_campaign`: same two phases
-    (shared inputs, then the mixes×schemes grid), same mix-major
-    outcome order, same bit-identical results — but a crashed, hung or
-    poisoned cell is retried, then quarantined, instead of stranding
-    the sweep.  Returns ``(outcomes, report)`` where quarantined cells
-    appear as :class:`Quarantined` placeholders.
-
-    The checkpoint journal lives at ``journal_path`` (default: under
-    the runner's cache dir; no cache dir means no journal).
-    ``resume=True`` replays it and re-runs only unfinished /
-    quarantined cells.  When ``artifacts_dir`` is given, completed
-    cells are written to the run-artifact ledger with per-cell resume
-    provenance and a campaign-level degradation block
-    (``campaign.retries`` / ``campaign.quarantined``).
-    """
-    policy = policy or ResiliencePolicy()
-    if journal_path is None:
-        journal_path = default_journal_path(runner)
-    if resume and journal_path is None:
-        raise ValueError(
-            "--resume needs a checkpoint journal: give the runner a "
-            "cache dir or pass journal_path explicitly")
-    journal = CampaignJournal(journal_path) if journal_path else None
-    if journal is not None and not resume:
-        journal.reset()
-    report = ResilienceReport()
-    _prefetch, report = run_jobs_resilient(
-        runner, _par.prefetch_jobs(mixes, schemes), policy=policy,
-        workers=workers, progress=progress, journal=journal,
-        resume=resume, fault_plan=fault_plan, report=report)
-    cells = _par.campaign_jobs(mixes, schemes, cycles, obs=obs,
-                               phase_interval=phase_interval)
-    outcomes, report = run_jobs_resilient(
-        runner, cells, policy=policy, workers=workers,
-        progress=progress, journal=journal, resume=True,
-        fault_plan=fault_plan, report=report)
-    if artifacts_dir:
-        from repro.obs import ledger
-        sha = ledger.current_git_sha()
-        artifacts = []
-        # run_jobs_resilient returns results in cell order, so the
-        # grid job and its outcome pair positionally.
-        for job, outcome in zip(cells, outcomes):
-            if isinstance(outcome, Quarantined):
-                continue
-            cell = report.cells.get(job_key(job))
-            provenance = None
-            if cell is not None and (cell.resumed or cell.attempts > 1
-                                     or cell.faults):
-                provenance = {
-                    "attempts": cell.attempts,
-                    "resumed": cell.resumed,
-                    "faults": list(cell.faults),
-                }
-            artifacts.append(ledger.artifact_from_outcome(
-                outcome, runner.config, runner.settings, git_sha=sha,
-                provenance=provenance))
-        ledger.write_artifacts(artifacts_dir, artifacts, campaign={
-            "retries": report.retries,
-            "quarantined": report.quarantined,
-            "resumed": report.resumed,
-            "journal": (os.path.basename(journal_path)
-                        if journal_path else None),
-        })
-    return outcomes, report

@@ -283,8 +283,12 @@ class ExperimentRunner:
                      obs: bool = False,
                      progress=None,
                      phase_interval: Optional[int] = None,
-                     artifacts_dir: Optional[str] = None
-                     ) -> List[WorkloadOutcome]:
+                     artifacts_dir: Optional[str] = None,
+                     policy=None,
+                     journal_path: Optional[str] = None,
+                     resume: bool = False,
+                     fault_plan: Optional[str] = None,
+                     report=None) -> List[WorkloadOutcome]:
         """Run every mix under every scheme, fanned over worker
         processes; outcomes in mix-major grid order, bit-identical to
         the serial loop.
@@ -296,40 +300,24 @@ class ExperimentRunner:
         versioned run artifact per cell plus a ``ledger.json`` index
         (:mod:`repro.obs.ledger`); ``progress`` (e.g. a
         :class:`~repro.obs.telemetry.CampaignTelemetry`) receives one
-        :class:`~repro.obs.telemetry.JobHeartbeat` per finished job."""
+        :class:`~repro.obs.telemetry.JobHeartbeat` per finished job.
+
+        ``policy`` (a :class:`~repro.harness.resilience.ResiliencePolicy`)
+        adds per-job timeouts, retry with backoff and quarantine
+        instead of abort, and a checkpoint journal under the cache dir
+        that ``resume=True`` replays so only unfinished/quarantined
+        cells re-run; quarantined cells appear as
+        :class:`~repro.harness.resilience.Quarantined` placeholders and
+        ``report`` (a :class:`~repro.harness.resilience.ResilienceReport`)
+        collects the degradation.  See
+        :func:`repro.harness.parallel.run_campaign`."""
         from repro.harness.parallel import run_campaign
         return run_campaign(self, mixes, schemes, workers=workers,
                             cycles=cycles, obs=obs, progress=progress,
                             phase_interval=phase_interval,
-                            artifacts_dir=artifacts_dir)
-
-    def run_campaign_resilient(self, mixes: Sequence[WorkloadMix],
-                               schemes: Sequence[str],
-                               policy=None,
-                               workers: Optional[int] = None,
-                               cycles: Optional[int] = None,
-                               obs: bool = False,
-                               progress=None,
-                               phase_interval: Optional[int] = None,
-                               artifacts_dir: Optional[str] = None,
-                               journal_path: Optional[str] = None,
-                               resume: bool = False,
-                               fault_plan: Optional[str] = None):
-        """Like :meth:`run_campaign`, but under the resilience layer
-        (:mod:`repro.harness.resilience`): per-job timeouts, retry with
-        backoff, dead-worker respawn, quarantine instead of abort, and
-        a checkpoint journal under the cache dir that ``resume=True``
-        replays so only unfinished/quarantined cells re-run.  Returns
-        ``(outcomes, report)``; quarantined cells appear as
-        :class:`~repro.harness.resilience.Quarantined` placeholders,
-        everything else is bit-identical to :meth:`run_campaign`."""
-        from repro.harness.resilience import run_campaign_resilient
-        return run_campaign_resilient(
-            self, mixes, schemes, policy=policy, workers=workers,
-            cycles=cycles, obs=obs, progress=progress,
-            phase_interval=phase_interval, artifacts_dir=artifacts_dir,
-            journal_path=journal_path, resume=resume,
-            fault_plan=fault_plan)
+                            artifacts_dir=artifacts_dir, policy=policy,
+                            journal_path=journal_path, resume=resume,
+                            fault_plan=fault_plan, report=report)
 
     # ------------------------------------------------------------------
     # scheme resolution

@@ -16,11 +16,11 @@ resolved name-wise:
   class-hierarchy-analysis conservatism;
 * ``ClassName(...)`` — the class's ``__init__``.
 
-Worker-pool entry references (``pool.submit(f, ...)``,
-``initializer=f``) are deliberately **not** call edges — the parent
-never runs ``f`` — they seed :meth:`CallGraph.worker_reachable`
-instead, which is the read/write-side split the REPRO-R0xx race rules
-key on.
+Worker-process entry references (``pool.submit(f, ...)``,
+``initializer=f``, ``Process(target=f)``) are deliberately **not**
+call edges — the parent never runs ``f`` — they seed
+:meth:`CallGraph.worker_reachable` instead, which is the
+read/write-side split the REPRO-R0xx race rules key on.
 
 Resolution is name-based, so the graph *over*-approximates edges
 (extra callers can only make the wheel-discipline discharge check more
@@ -184,8 +184,9 @@ class CallGraph:
 
     # -- reachability ---------------------------------------------------
     def worker_entries(self) -> List[str]:
-        """Functions handed to the process pool (submit/map first args,
-        pool ``initializer=`` kwargs), resolved to fids."""
+        """Functions that run in worker processes (pool submit/map first
+        args, pool ``initializer=`` kwargs, ``Process(target=)``
+        kwargs), resolved to fids."""
         if self._worker_entries is None:
             out: List[str] = []
             for f, (rel, msum, fsum) in sorted(self.functions.items()):

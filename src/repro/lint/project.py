@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.lint.scope import module_name, rel_posix
 
 #: bump when the summary schema changes; stale caches are discarded.
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 #: conventional cache location under the repo root (directory is
 #: covered by .gitignore and excluded from lint walks).
@@ -369,9 +369,11 @@ class _FunctionSummarizer(ast.NodeVisitor):
                     self.summary["leaf_uses"].append(
                         [pattern, node.args[0].lineno,
                          node.args[0].col_offset])
-        # initializer= kwarg anywhere is a worker entry (pool ctor)
+        # worker entries by keyword: a pool ctor's initializer=, and a
+        # Process(...) / ctx.Process(...) target= (runs in the child)
+        spawns = (key or "").rsplit(".", 1)[-1] == "Process"
         for kw in node.keywords:
-            if kw.arg == "initializer":
+            if kw.arg == "initializer" or (spawns and kw.arg == "target"):
                 ref = _expr_key(kw.value)
                 if ref is not None:
                     self.summary["entry_refs"].append(ref)

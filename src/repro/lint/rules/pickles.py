@@ -1,8 +1,8 @@
 """REPRO-P0xx — process-boundary picklability.
 
-Parallel campaigns (PR 1) push jobs and results through a
-``ProcessPoolExecutor``: everything listed in :data:`PICKLED_CLASSES`
-crosses the worker boundary by pickling.  Lambdas, closures over local
+Parallel campaigns push jobs and results through worker-process
+pipes: everything listed in :data:`PICKLED_CLASSES` crosses the worker
+boundary by pickling.  Lambdas, closures over local
 state, and live generators do not pickle — a field holding one turns
 into a ``PicklingError`` the first time a campaign runs with
 ``workers > 1``, which the serial test path never sees.

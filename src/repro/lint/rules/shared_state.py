@@ -12,7 +12,8 @@ pattern:
 
 * **REPRO-R001** — a module-level mutable object written from code
   reachable from a worker entry point (a function handed to
-  ``pool.submit``/``pool.map`` or a pool ``initializer=``) and read
+  ``pool.submit``/``pool.map``, a pool ``initializer=`` or a
+  ``Process(target=)``) and read
   from code that is *not* worker-reachable.
 * **REPRO-R002** — the same split for class-level mutable attributes
   (shared through the class object, so equally per-process).

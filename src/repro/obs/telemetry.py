@@ -27,12 +27,12 @@ from typing import IO, List, Optional
 class JobHeartbeat:
     """One campaign job event, as seen by the dispatching parent.
 
-    Most beats are completions (``event="done"``); the resilient
-    executor (:mod:`repro.harness.resilience`) additionally emits
-    ``"retry"`` (an attempt failed, the cell will run again — not a
-    completion), ``"quarantined"`` (retry budget exhausted, the cell's
-    slot holds a placeholder) and ``"resumed"`` (replayed from the
-    checkpoint journal without executing).
+    Most beats are completions (``event="done"``); a batch under a
+    failure policy or journal (:mod:`repro.harness.resilience`)
+    additionally emits ``"retry"`` (an attempt failed, the cell will
+    run again — not a completion), ``"quarantined"`` (retry budget
+    exhausted, the cell's slot holds a placeholder) and ``"resumed"``
+    (replayed from the checkpoint journal without executing).
     """
 
     index: int          #: 1-based completion index
@@ -41,7 +41,7 @@ class JobHeartbeat:
     duration_s: float   #: wall-clock seconds inside the worker (0 if cached)
     sim_cycles: int     #: simulated cycles the job covers (its budget)
     cache_hit: bool = False
-    attempt: int = 1    #: 1-based attempt number (resilient executor)
+    attempt: int = 1    #: 1-based attempt number (retried cells)
     event: str = "done"           #: done | retry | quarantined | resumed
     fault: Optional[str] = None   #: what failed, e.g. ``"timeout"``
 

@@ -26,6 +26,9 @@ from repro.workloads.kernel import InstructionStream, KernelProfile, ReplayStrea
 #: address-space stride separating kernel instances (in lines).
 KERNEL_REGION_LINES = 1 << 40
 
+#: fast-loop cycles between drops of the event wheel's past entries.
+WHEEL_PRUNE_CYCLES = 1024
+
 
 class KernelLaunch:
     """One kernel instance in a run: profile + per-SM TB limits +
@@ -248,7 +251,11 @@ class GPU:
         leap at one inert cycle.  The check runs before each cycle
         rather than after the previous one, so a span that starts
         mid-leap (a resumed run, a phase boundary) continues the leap
-        instead of ticking its first cycle."""
+        instead of ticking its first cycle.
+
+        Every :data:`WHEEL_PRUNE_CYCLES` cycles the loop drops the
+        wheel's past entries, which otherwise leave only through a
+        leap: a run that rarely leaps would keep one entry per cycle."""
         # Bind the per-cycle callees to locals: the loop body is pure
         # dispatch, so attribute lookups would be a measurable share.
         memory_tick = self.memory.tick
@@ -258,22 +265,26 @@ class GPU:
         skip_cycles = self.memory.skip_cycles
         wheel_next = self.wheel.next_after
         while cycle < end:
-            for sm in sms:
-                if sm._sleep_until <= cycle:
-                    break
-            else:
-                if leapable():
-                    target = wheel_next(cycle - 1)
-                    if target > end:
-                        target = end
-                    if target > cycle:
-                        skip_cycles(target - cycle)
-                        cycle = target
-                        continue
-            memory_tick(cycle)
-            for sm_tick in sm_ticks:
-                sm_tick(cycle)
-            cycle += 1
+            stop = min(end, cycle - cycle % WHEEL_PRUNE_CYCLES
+                       + WHEEL_PRUNE_CYCLES)
+            while cycle < stop:
+                for sm in sms:
+                    if sm._sleep_until <= cycle:
+                        break
+                else:
+                    if leapable():
+                        target = wheel_next(cycle - 1)
+                        if target > end:
+                            target = end
+                        if target > cycle:
+                            skip_cycles(target - cycle)
+                            cycle = target
+                            continue
+                memory_tick(cycle)
+                for sm_tick in sm_ticks:
+                    sm_tick(cycle)
+                cycle += 1
+            wheel_next(cycle - 1)  # drops every entry already ticked
 
     def _settle(self) -> None:
         """Settle every SM's deferred debts up to ``cycles_run`` (see

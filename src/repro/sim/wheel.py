@@ -21,7 +21,9 @@ Entries are deduplicated per cycle, so a burst of posts for the same
 cycle costs one dict hit each.  Reads are lazy: :meth:`next_after`
 discards stale entries (``<= now``) as it goes, which makes the
 amortised cost of a leap O(1) heap pops regardless of how many
-components exist.
+components exist.  The fast loop also calls it at fixed cycle
+boundaries (``engine.WHEEL_PRUNE_CYCLES``), so a run that rarely
+leaps holds at most that many past entries.
 
 Correctness contract (the bit-identity proof obligation, see
 ``docs/PERF.md``): entries may be *conservative* — a posted cycle at

@@ -18,11 +18,11 @@ import os
 import pytest
 
 from repro.config import scaled_config
+from repro.harness.parallel import IsoJob, run_campaign, run_jobs
 from repro.harness.perfbench import outcome_signature
-from repro.harness.resilience import (FaultPlan, FaultSpec, Quarantined,
-                                      ResiliencePolicy,
-                                      default_journal_path,
-                                      run_campaign_resilient)
+from repro.harness.resilience import (FaultPlan, FaultSpec, JobError,
+                                      Quarantined, ResiliencePolicy,
+                                      ResilienceReport, default_journal_path)
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.obs.telemetry import NullTelemetry
 from repro.workloads.mixes import WorkloadMix
@@ -62,15 +62,25 @@ def executed_labels(telemetry):
     return [b.label for b in telemetry.heartbeats if b.event == "done"]
 
 
+def campaign(runner, **kwargs):
+    """The st+sv / ws campaign; returns ``(outcomes, report)``."""
+    report = ResilienceReport()
+    outcomes = run_campaign(runner, [make_mix()], ["ws"], workers=2,
+                            report=report, **kwargs)
+    return outcomes, report
+
+
 # ----------------------------------------------------------------------
 def test_sigkill_worker_mid_campaign_bit_identical(tmp_path, golden):
     plan = write_plan(tmp_path,
                       FaultSpec(id="k1", kind="kill", match=MIX_LABEL))
     runner = make_runner(tmp_path / "cache")
     artifacts = tmp_path / "artifacts"
-    outcomes, report = run_campaign_resilient(
-        runner, [make_mix()], ["ws"], workers=2, fault_plan=plan,
-        policy=ResiliencePolicy(retries=2, backoff_s=0.05),
+    # The timeout grants the single-cell phase a sacrificial worker to
+    # kill; it is far above the cell's run time, so it never fires.
+    outcomes, report = campaign(
+        runner, fault_plan=plan,
+        policy=ResiliencePolicy(timeout_s=120.0, retries=2, backoff_s=0.05),
         artifacts_dir=str(artifacts))
 
     # The kill struck (claim marker on disk), the cell retried, and the
@@ -97,8 +107,8 @@ def test_hung_job_killed_at_timeout_and_retried(tmp_path, golden):
                       FaultSpec(id="h1", kind="hang", match=MIX_LABEL,
                                 seconds=60.0))
     runner = make_runner(tmp_path / "cache")
-    outcomes, report = run_campaign_resilient(
-        runner, [make_mix()], ["ws"], workers=2, fault_plan=plan,
+    outcomes, report = campaign(
+        runner, fault_plan=plan,
         policy=ResiliencePolicy(timeout_s=3.0, retries=2, backoff_s=0.05))
 
     cell = next(c for c in report.cells.values() if c.label == MIX_LABEL)
@@ -112,8 +122,8 @@ def test_unpicklable_result_retried_bit_identical(tmp_path, golden):
                       FaultSpec(id="u1", kind="unpicklable",
                                 match=MIX_LABEL))
     runner = make_runner(tmp_path / "cache")
-    outcomes, report = run_campaign_resilient(
-        runner, [make_mix()], ["ws"], workers=2, fault_plan=plan,
+    outcomes, report = campaign(
+        runner, fault_plan=plan,
         policy=ResiliencePolicy(retries=2, backoff_s=0.05))
     assert report.retries >= 1
     assert outcome_signature(outcomes[0]) == golden
@@ -127,7 +137,7 @@ def test_resume_after_mid_campaign_kill_runs_only_unfinished(tmp_path,
     unproven remainder and still merge bit-identically."""
     cache = tmp_path / "cache"
     runner = make_runner(cache)
-    run_campaign_resilient(runner, [make_mix()], ["ws"], workers=2)
+    campaign(runner, policy=ResiliencePolicy())
 
     journal_path = default_journal_path(runner)
     lines = open(journal_path).read().splitlines()
@@ -155,9 +165,7 @@ def test_resume_after_mid_campaign_kill_runs_only_unfinished(tmp_path,
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
     telemetry = NullTelemetry()
-    outcomes, report = run_campaign_resilient(
-        fresh, [make_mix()], ["ws"], workers=2, resume=True,
-        progress=telemetry)
+    outcomes, report = campaign(fresh, resume=True, progress=telemetry)
 
     ran = executed_labels(telemetry)
     assert sorted(ran) == sorted([MIX_LABEL, corrupted_iso])
@@ -174,8 +182,8 @@ def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
                                 times=99))
     cache = tmp_path / "cache"
     runner = make_runner(cache)
-    outcomes, report = run_campaign_resilient(
-        runner, [make_mix()], ["ws"], workers=2, fault_plan=plan,
+    outcomes, report = campaign(
+        runner, fault_plan=plan,
         policy=ResiliencePolicy(retries=1, backoff_s=0.05))
     assert isinstance(outcomes[0], Quarantined)
     assert report.quarantined == [MIX_LABEL]
@@ -183,9 +191,7 @@ def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
     telemetry = NullTelemetry()
-    outcomes, report = run_campaign_resilient(
-        fresh, [make_mix()], ["ws"], workers=2, resume=True,
-        progress=telemetry)
+    outcomes, report = campaign(fresh, resume=True, progress=telemetry)
     assert executed_labels(telemetry) == [MIX_LABEL]
     assert report.resumed == 4
     assert outcome_signature(outcomes[0]) == golden
@@ -201,8 +207,8 @@ def test_corrupt_fault_hits_journal_and_campaign_survives(tmp_path, golden):
     plan = write_plan(tmp_path,
                       FaultSpec(id="c1", kind="corrupt", match="iso *",
                                 path=journal_glob))
-    outcomes, report = run_campaign_resilient(
-        runner, [make_mix()], ["ws"], workers=2, fault_plan=plan)
+    outcomes, report = campaign(runner, fault_plan=plan,
+                                policy=ResiliencePolicy())
     assert FaultPlan.from_file(plan).fired("c1") == 1
     assert outcome_signature(outcomes[0]) == golden
     assert report.retries == 0
@@ -211,8 +217,7 @@ def test_corrupt_fault_hits_journal_and_campaign_survives(tmp_path, golden):
     # corruption made unprovable and completes identically.
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
-    outcomes, _ = run_campaign_resilient(fresh, [make_mix()], ["ws"],
-                                         workers=2, resume=True)
+    outcomes, _ = campaign(fresh, resume=True)
     assert outcome_signature(outcomes[0]) == golden
 
 
@@ -238,3 +243,20 @@ def test_scheme_sweep_skips_quarantined_cells(tmp_path):
     # The quarantined mix never entered the sweep — no placeholder to
     # trip geomeans over, just an absent row.
     assert sweep.mixes() == []
+
+
+def test_worker_crash_without_policy_raises_job_error(tmp_path,
+                                                     monkeypatch):
+    """With no policy a dead worker fails the batch at once, with a
+    JobError naming the cell it was running: no retry, and no silent
+    in-process re-run of the batch."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    plan = write_plan(tmp_path,
+                      FaultSpec(id="k1", kind="kill", match="iso sv"))
+    runner = make_runner(tmp_path / "cache")
+    with pytest.raises(JobError) as info:
+        run_jobs(runner, [IsoJob("st"), IsoJob("sv")], workers=2,
+                 fault_plan=plan)
+    assert info.value.label == "iso sv"
+    assert info.value.original_type == "worker-crash"
+    assert FaultPlan.from_file(plan).fired("k1") == 1

@@ -27,7 +27,8 @@ _MARKER_RE = re.compile(r"LINT-BAD:\s*(REPRO-[A-Z]\d+)")
 PROJECT_FIXTURES = {
     "REPRO-W001": ["src/repro/sim/fix_w001.py"],
     "REPRO-W002": ["src/repro/sim/fix_w002.py"],
-    "REPRO-R001": ["src/repro/harness/fix_r001.py"],
+    "REPRO-R001": ["src/repro/harness/fix_r001.py",
+                   "src/repro/harness/fix_r001_process.py"],
     "REPRO-R002": ["src/repro/harness/fix_r002.py"],
     "REPRO-S004": ["src/repro/sim/fix_s004.py",
                    "src/repro/obs/fix_s004_vals.py"],
@@ -82,6 +83,33 @@ def test_r001_catches_worker_written_module_state():
     assert any("_RESULTS" in f.message for f in findings)
     assert any("_SLOT_LEDGER" in f.message for f in findings)
     assert all("parent-side" in f.message for f in findings)
+
+
+def test_process_target_is_a_worker_entry():
+    """A hand-built worker process's ``target=`` seeds worker
+    reachability like a pool dispatch does."""
+    rel = "src/repro/harness/fix_r001_process.py"
+    findings = lint_fixture_set([rel])
+    assert [(f.rule, f.line) for f in findings] \
+        == [("REPRO-R001", line) for _p, line, _r in expected_markers([rel])]
+    assert "_SEEN" in findings[0].message
+    graph = CallGraph(build_index(
+        FIXROOT, LintEngine(FIXROOT).collect_files([rel])))
+    entries = graph.worker_entries()
+    assert fid(rel, "_worker_loop") in entries
+    assert fid(rel, "_good_loop") in entries
+    assert fid(rel, "start_workers") not in graph.worker_reachable()
+
+
+def test_real_pool_worker_main_is_a_worker_entry():
+    graph = CallGraph(build_index(
+        REPO_ROOT, LintEngine(REPO_ROOT).collect_files(["src"])))
+    entries = graph.worker_entries()
+    parallel = "src/repro/harness/parallel.py"
+    assert fid(parallel, "_worker_main") in entries
+    worker = graph.worker_reachable()
+    assert fid(parallel, "_init_worker") in worker
+    assert fid(parallel, "execute_job") in worker
 
 
 def test_s005_judges_the_indexed_taxonomy_not_the_installed_one():

@@ -13,9 +13,12 @@ import os
 import pytest
 
 from repro.config import scaled_config
-from repro.harness.parallel import (CurveJob, IsoJob, MixJob, PoolConfig,
-                                    campaign_jobs, prefetch_jobs, run_jobs)
+from repro.harness import parallel as par
+from repro.harness.parallel import (CurveJob, IsoJob, MixJob, campaign_jobs,
+                                    pool_size, prefetch_jobs, resolve_workers,
+                                    run_jobs)
 from repro.harness.perfbench import outcome_signature
+from repro.harness.resilience import ResiliencePolicy
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
@@ -106,10 +109,59 @@ def test_prefetch_jobs_skip_curves_without_ws():
 
 def test_pool_config_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
-    assert PoolConfig().resolved_workers() == 3
+    assert resolve_workers() == 3
     monkeypatch.setenv("REPRO_BENCH_WORKERS", "not-a-number")
-    assert PoolConfig().resolved_workers() == (os.cpu_count() or 1)
-    assert PoolConfig(workers=5).resolved_workers() == 5
+    assert resolve_workers() == (os.cpu_count() or 1)
+    assert resolve_workers(5) == 5
+    assert resolve_workers(0) == 1
+
+
+# ----------------------------------------------------------------------
+# the pool-size rule: min(requested, pending, CPUs); a size of 1 runs
+# in-process unless the batch has a timeout to enforce
+@pytest.mark.parametrize("cpus,timeout_s,want", [
+    (1, None, 0), (1, 30.0, 1), (2, None, 2), (2, 30.0, 2),
+])
+def test_pool_size_caps_at_cpu_count(monkeypatch, cpus, timeout_s, want):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert pool_size(4, 3, timeout_s) == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pool_size_clamps_to_pending_and_request(monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert pool_size(4, 1, None) == 0
+    assert pool_size(4, 1, 30.0) == 1
+    assert pool_size(1, 3, None) == 0
+    assert pool_size(1, 3, 30.0) == 1
+    assert pool_size(4, 0, 30.0) == 0
+    monkeypatch.setenv("REPRO_BENCH_WORKERS", "2")
+    assert pool_size(None, 3, None) == (2 if cpus > 1 else 0)
+
+
+@pytest.mark.parametrize("cpus,timeout_s,want", [
+    (1, None, None), (1, 60.0, 1), (2, None, 2), (2, 60.0, 2),
+])
+def test_run_jobs_follows_the_pool_size_rule(tmp_path, monkeypatch, cpus,
+                                             timeout_s, want):
+    """The batch starts exactly the pool the rule asks for (None: runs
+    in-process), and its results equal the serial loop's."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sizes = []
+    real_pool = par._Pool
+
+    def spy(batch, jobs, size):
+        sizes.append(size)
+        return real_pool(batch, jobs, size)
+
+    monkeypatch.setattr(par, "_Pool", spy)
+    jobs = [IsoJob("3m"), IsoJob("bp")]
+    policy = ResiliencePolicy(timeout_s=timeout_s, retries=0,
+                              quarantine=False)
+    got = run_jobs(make_runner(tmp_path, "pool"), jobs, workers=2,
+                   policy=policy)
+    assert sizes == ([] if want is None else [want])
+    assert got == run_jobs(make_runner(tmp_path, "serial"), jobs, workers=1)
 
 
 def test_corrupt_disk_cache_record_is_recomputed(tmp_path):

@@ -7,7 +7,9 @@ protocol, journal round-trips under corruption, the serial
 retry/quarantine loop, degraded-run telemetry and ledger provenance.
 """
 
+import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 
@@ -19,11 +21,13 @@ from repro.harness.perfbench import outcome_signature
 from repro.harness.resilience import (CampaignJournal, FaultInjected,
                                       FaultPlan, FaultSpec, JobError,
                                       Quarantined, ResiliencePolicy,
-                                      ResilienceReport, job_key,
-                                      run_jobs_resilient)
+                                      ResilienceReport, job_key)
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.obs.ledger import artifact_from_outcome, write_artifacts
 from repro.obs.telemetry import CampaignTelemetry, JobHeartbeat
+from repro.workloads import profiles
+from repro.workloads.mixes import WorkloadMix
+from repro.workloads.profiles import get_profile
 
 SETTINGS = RunnerSettings(iso_cycles=600, curve_cycles=400,
                           concurrent_cycles=800)
@@ -54,32 +58,48 @@ def test_job_error_pickles_with_full_traceback():
 
 
 def test_job_error_escapes_pool_failure_catch():
-    # run_jobs demotes pool failures matching this tuple to a serial
-    # retry; a real job failure must NOT be swallowed by it.
+    # run_jobs runs a batch in-process when starting the pool raises
+    # one of these; a real job failure must NOT be mistaken for one.
     err = JobError("iso bp", "KeyError", "tb")
-    assert not isinstance(err, (OSError, ValueError, RuntimeError,
-                                ImportError))
+    assert not isinstance(err, par.POOL_UNAVAILABLE)
+    assert OSError in par.POOL_UNAVAILABLE
 
 
 def test_worker_wrapper_raises_job_error(tmp_path, monkeypatch):
+    """The pool's worker loop answers a failing job with a JobError
+    naming the cell, then keeps serving until the sentinel."""
     runner = make_runner(tmp_path)
-    monkeypatch.setattr(par, "_WORKER_RUNNER", runner)
-    job = par.MixJob(("definitely-not-a-kernel", "bp"))
-    with pytest.raises(JobError) as info:
-        par._run_job_in_worker(job)
-    assert info.value.original_type == "KeyError"
-    assert "unknown benchmark" in info.value.formatted
+    monkeypatch.setattr(par, "_WORKER_RUNNER", None)
+    monkeypatch.setattr(par, "_WORKER_FAULT_PLAN", None)
+    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+    parent, child = multiprocessing.Pipe()
+    parent.send(par.MixJob(("definitely-not-a-kernel", "bp")))
+    parent.send(par.IsoJob("bp"))
+    parent.send(None)
+    par._worker_main(child, runner.config, runner.settings,
+                     runner.cache_dir, [], [])
+    ok, _seconds, err = pickle.loads(parent.recv_bytes())
+    assert not ok
+    assert isinstance(err, JobError)
+    assert err.original_type == "KeyError"
+    assert "unknown benchmark" in err.formatted
     # Label identifies the failing cell, not just the exception.
-    assert info.value.label == "mix ws definitely-not-a-kernel+bp"
+    assert err.label == "mix ws definitely-not-a-kernel+bp"
+    ok, _seconds, record = pickle.loads(parent.recv_bytes())
+    assert ok and record == runner.isolated(get_profile("bp"))
+    assert not parent.poll()
 
 
 def test_failing_cell_raises_job_error_without_quarantine(tmp_path):
     runner = make_runner(tmp_path)
     policy = ResiliencePolicy(retries=0, quarantine=False)
     with pytest.raises(JobError) as info:
-        run_jobs_resilient(runner, [par.MixJob(("nope", "bp"))],
-                           policy=policy)
+        par.run_jobs(runner, [par.MixJob(("nope", "bp"))], policy=policy)
     assert "unknown benchmark" in str(info.value)
+    # No policy at all is the same rule: the first failure raises.
+    with pytest.raises(JobError) as info:
+        par.run_jobs(runner, [par.MixJob(("nope", "bp"))], workers=1)
+    assert info.value.label == "mix ws nope+bp"
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +299,10 @@ def test_serial_retry_recovers_and_stays_bit_identical(tmp_path):
 
     runner = make_runner(tmp_path, "faulted")
     policy = ResiliencePolicy(retries=2, backoff_s=0.01)
-    results, report = run_jobs_resilient(
+    report = ResilienceReport()
+    results = par.run_jobs(
         runner, [par.MixJob(("st", "sv"))], policy=policy, workers=1,
-        fault_plan=plan_path)
+        fault_plan=plan_path, report=report)
     assert outcome_signature(results[0]) == outcome_signature(want)
     assert report.retries == 1
     cell = report.cells[job_key(par.MixJob(("st", "sv")))]
@@ -296,10 +317,11 @@ def test_serial_quarantine_after_budget(tmp_path):
                      state_dir=str(tmp_path / "state"))
     plan_path = plan.to_file(str(tmp_path / "plan.json"))
     runner = make_runner(tmp_path)
-    results, report = run_jobs_resilient(
+    report = ResilienceReport()
+    results = par.run_jobs(
         runner, [par.MixJob(("st", "sv")), par.IsoJob("bp")],
         policy=ResiliencePolicy(retries=1, backoff_s=0.01), workers=1,
-        fault_plan=plan_path)
+        fault_plan=plan_path, report=report)
     # The poisoned mix is quarantined; the iso cell still completes.
     assert isinstance(results[0], Quarantined)
     assert results[0].label == "mix ws st+sv"
@@ -311,8 +333,9 @@ def test_serial_quarantine_after_budget(tmp_path):
 def test_duplicate_jobs_execute_once(tmp_path):
     runner = make_runner(tmp_path)
     job = par.IsoJob("bp")
-    results, report = run_jobs_resilient(runner, [job, job, job],
-                                         workers=1)
+    report = ResilienceReport()
+    results = par.run_jobs(runner, [job, job, job], workers=1,
+                           report=report)
     assert len(results) == 3
     assert results[0] is results[1] is results[2]
     assert report.cells[job_key(job)].attempts == 1
@@ -322,17 +345,45 @@ def test_resume_replays_journal_and_runs_remainder(tmp_path):
     runner = make_runner(tmp_path)
     journal = CampaignJournal(str(tmp_path / "campaign.jsonl"))
     jobs = [par.IsoJob("bp"), par.IsoJob("st")]
-    first, _ = run_jobs_resilient(runner, [jobs[0]], workers=1,
-                                  journal=journal)
+    first = par.run_jobs(runner, [jobs[0]], workers=1, journal=journal)
 
     fresh = make_runner(tmp_path, "fresh")
-    results, report = run_jobs_resilient(fresh, jobs, workers=1,
-                                         journal=journal, resume=True)
+    report = ResilienceReport()
+    results = par.run_jobs(fresh, jobs, workers=1, journal=journal,
+                           resume=True, report=report)
     # The replayed checkpoint is the pickled original, field for field.
     assert results[0] == first[0]
     assert report.resumed == 1
     assert report.cells[job_key(jobs[0])].resumed
     assert not report.cells[job_key(jobs[1])].resumed
+
+
+def test_resume_does_not_replay_a_profile_changed_under_its_name(
+        tmp_path, monkeypatch):
+    """Journal entries are keyed by profile content: a bp+cd campaign
+    journaled with stock ``bp`` must not be replayed once ``bp`` is
+    changed under the same name.  The unchanged ``cd`` inputs still
+    replay, and the resumed cell equals a fresh run of the variant."""
+    stock_bp = get_profile("bp")
+    policy = ResiliencePolicy(retries=0)
+    stock_mix = [WorkloadMix((stock_bp, get_profile("cd")))]
+    stock = make_runner(tmp_path).run_campaign(stock_mix, ["ws"], workers=1,
+                                               policy=policy)
+
+    variant = dataclasses.replace(
+        stock_bp, cinst_per_minst=stock_bp.cinst_per_minst * 4)
+    monkeypatch.setitem(profiles.PROFILES_BY_NAME, "bp", variant)
+    mix = [WorkloadMix((variant, get_profile("cd")))]
+    fresh = make_runner(tmp_path, "fresh").run_campaign(mix, ["ws"],
+                                                        workers=1)
+    report = ResilienceReport()
+    resumed = make_runner(tmp_path).run_campaign(
+        mix, ["ws"], workers=1, policy=policy, resume=True, report=report)
+
+    assert sorted(c.label for c in report.cells.values() if c.resumed) \
+        == ["curve cd", "iso cd"]
+    assert outcome_signature(resumed[0]) == outcome_signature(fresh[0])
+    assert resumed[0].weighted_speedup != stock[0].weighted_speedup
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,9 @@ bump must wake a stall-sleeping SM on the bump's own cycle.
 from repro import MAXWELL_CONFIG
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
-from repro.sim.engine import GPU, make_launches
+from repro.sim.engine import GPU, WHEEL_PRUNE_CYCLES, make_launches
 from repro.sim.sm import StreamingMultiprocessor
+from repro.sim.wheel import EventWheel
 from repro.workloads.profiles import get_profile
 
 CYCLES = 1000
@@ -85,3 +86,25 @@ def test_version_bump_wakes_stall_sleeper_on_its_cycle():
     result = gpu.run(CYCLES - gpu.cycles_run)
     assert (result_signature(result)
             == result_signature(build_cell(reference=True).run(CYCLES)))
+
+
+def test_fast_loop_keeps_the_event_wheel_bounded(monkeypatch):
+    """The fast loop drops the wheel's past entries every
+    WHEEL_PRUNE_CYCLES cycles: on this cell, which rarely leaps, the
+    wheel would otherwise keep one entry per cycle (~3,000 here)."""
+    peak = []
+    post = EventWheel.post
+
+    def tracking(self, cycle):
+        post(self, cycle)
+        peak.append(len(self))
+
+    monkeypatch.setattr(EventWheel, "post", tracking)
+    gpu = build_cell(reference=False)
+    fast = gpu.run(3 * CYCLES)
+    monkeypatch.setattr(EventWheel, "post", post)
+    ref = build_cell(reference=True).run(3 * CYCLES)
+
+    assert result_signature(fast) == result_signature(ref)
+    assert max(peak) < WHEEL_PRUNE_CYCLES + 200, max(peak)
+    assert all(cycle >= gpu.cycles_run for cycle in gpu.wheel._heap)
